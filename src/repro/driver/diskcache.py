@@ -282,8 +282,8 @@ class PersistentCache:
 
     def counters(self) -> dict[str, float]:
         """This session's counters — the payload surfaced by
-        :class:`~repro.driver.report.BuildReport`, the server
-        ``stats`` op, and the ``/metrics`` disk-cache series."""
+        :class:`~repro.driver.report.BuildReport`, and by the daemon
+        as its ``ms2_cache_backend_*{tier="local"}`` series."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from repro.server import Ms2Server
+    from repro.telemetry import MetricsRegistry
 
 __all__ = ["TelemetrySidecar", "http_status_for_frame"]
 
@@ -65,6 +66,22 @@ _CODE_STATUS = {
     "shutting_down": 503,
     "internal": 500,
 }
+
+
+#: The paths the HTTP listeners answer.  ``ms2_http_requests_total``
+#: counts every other path under the one route ``other``, so clients
+#: sending junk paths cannot grow the series set.
+HTTP_ROUTES = frozenset({"/metrics", "/healthz", "/statusz", "/v1/expand"})
+
+
+def count_http_request(registry: "MetricsRegistry", path: str) -> None:
+    """Count one HTTP request in ``registry``'s
+    ``ms2_http_requests_total``, labeled by route."""
+    registry.counter(
+        "ms2_http_requests_total",
+        "HTTP requests served, by route (unknown paths: other)",
+        ("route",),
+    ).inc(route=path if path in HTTP_ROUTES else "other")
 
 
 def http_status_for_frame(frame: dict[str, Any]) -> int:
@@ -175,8 +192,6 @@ class TelemetrySidecar:
         self._http: asyncio.AbstractServer | None = None
         #: The actually-bound port (useful with ``port=0``).
         self.bound_port: int | None = None
-        #: Requests served, by path (shown in ``/statusz``).
-        self.requests: dict[str, int] = {}
 
     async def start(self) -> None:
         self._http = await asyncio.start_server(
@@ -223,7 +238,7 @@ class TelemetrySidecar:
         if parsed is None:
             return 400, _PLAIN, b"bad request\n", {}
         method, path, headers, body = parsed
-        self.requests[path] = self.requests.get(path, 0) + 1
+        count_http_request(self.server.registry, path)
         if method == "POST":
             if path != "/v1/expand":
                 return 405, _PLAIN, b"method not allowed\n", {}

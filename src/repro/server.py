@@ -93,6 +93,7 @@ from repro.serveconfig import (
 from repro.stats import PipelineStats
 from repro.telemetry import (
     LATENCY_BUCKETS_MS,
+    Counter,
     EventLog,
     MetricsRegistry,
     new_request_id,
@@ -171,26 +172,47 @@ class WorkerPool:
     loaded) and *used once*: serving a request hands the caller an
     exclusive processor and never takes it back.  :meth:`replenish`
     rebuilds a spare off the request path, so steady-state requests
-    always find one waiting.
+    always find one waiting.  Its counters live in ``registry`` (the
+    daemon's; a private one when none is given).
     """
 
-    def __init__(self, spares: int = DEFAULT_WARM_SPARES) -> None:
+    def __init__(
+        self,
+        spares: int = DEFAULT_WARM_SPARES,
+        registry: MetricsRegistry | None = None,
+    ) -> None:
         self.spares = max(0, int(spares))
         self._idle: dict[str, list[MacroProcessor]] = {}
         self._lock = threading.Lock()
-        #: Requests served by a pre-built warm worker.
-        self.warm_hits = 0
-        #: Requests that had to build their worker inline.
-        self.cold_builds = 0
-        #: Spares actually added by :meth:`replenish`, and the wall
-        #: milliseconds spent building them (off the request path).
-        self.replenishes = 0
-        self.replenish_ms = 0.0
-        #: Spares built before the listener accepted traffic.
-        self.prewarms = 0
-        #: Replenish attempts whose worker build raised (each is
-        #: retried off the request path up to a bounded count).
-        self.replenish_failures = 0
+        reg = registry if registry is not None else MetricsRegistry()
+        self._warm_hits = _counter(
+            reg, "ms2_worker_pool_warm_hits_total",
+            "Requests served by a pre-built warm worker")
+        self._cold_builds = _counter(
+            reg, "ms2_worker_pool_cold_builds_total",
+            "Requests that built their worker inline")
+        self._replenishes = _counter(
+            reg, "ms2_worker_pool_replenishes_total",
+            "Warm spares rebuilt off the request path")
+        self._replenish_ms = _counter(
+            reg, "ms2_worker_pool_replenish_ms_total",
+            "Wall milliseconds spent rebuilding warm spares")
+        self._prewarms = _counter(
+            reg, "ms2_worker_pool_prewarms_total",
+            "Warm spares built before the listener accepted traffic")
+        self._replenish_failures = _counter(
+            reg, "ms2_worker_pool_replenish_failures_total",
+            "Warm-spare builds that raised (retried off the request "
+            "path)")
+        self._idle_gauge = reg.gauge(
+            "ms2_worker_pool_idle",
+            "Warm spare workers currently idle, by pool key",
+            ("pool",),
+        )
+        reg.gauge(
+            "ms2_worker_pool_spares",
+            "Configured spare workers per pool key", merge="max",
+        ).set(self.spares)
 
     @staticmethod
     def key_for(
@@ -242,9 +264,11 @@ class WorkerPool:
         with self._lock:
             idle = self._idle.get(key)
             if idle:
-                self.warm_hits += 1
-                return idle.pop(), key, True
-            self.cold_builds += 1
+                worker = idle.pop()
+                self._idle_gauge.set(len(idle), pool=key)
+                self._warm_hits.inc()
+                return worker, key, True
+        self._cold_builds.inc()
         return (
             self.build_worker(options, package_names, package_sources),
             key,
@@ -273,13 +297,16 @@ class WorkerPool:
             if len(idle) >= self.spares:
                 return False
             idle.append(worker)
-            self.replenishes += 1
-            self.replenish_ms += built_ms
-            return True
+            self._idle_gauge.set(len(idle), pool=key)
+        self._replenishes.inc()
+        self._replenish_ms.inc(built_ms)
+        return True
 
     def note_prewarm(self) -> None:
-        with self._lock:
-            self.prewarms += 1
+        self._prewarms.inc()
+
+    def note_replenish_failure(self) -> None:
+        self._replenish_failures.inc()
 
     def has_idle(self, key: str) -> bool:
         """Whether a pre-built warm worker is waiting for this pool
@@ -288,162 +315,188 @@ class WorkerPool:
         with self._lock:
             return bool(self._idle.get(key))
 
-    def idle_counts(self) -> dict[str, int]:
-        with self._lock:
-            return {key: len(idle) for key, idle in self._idle.items()}
-
 
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
 
 
-class ServerMetrics:
-    """Request-level counters, gauges and the latency histogram
-    (the ``stats`` op payload).  Updated from the event loop and from
-    executor threads, so mutation holds a lock."""
+def _counter(reg: MetricsRegistry, name: str, help: str) -> Counter:
+    """An unlabeled counter, present (at 0) from the first scrape."""
+    counter = reg.counter(name, help)
+    counter.inc(0)
+    return counter
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.started = perf_counter()
-        self.requests: dict[str, int] = {}
-        self.responses: dict[str, int] = {"ok": 0, "error": 0}
-        self.error_codes: dict[str, int] = {}
-        self.busy_rejections = 0
-        self.shed_rejections = 0
-        self.bad_frames = 0
-        self.client_disconnects = 0
-        self.in_flight = 0
-        self.peak_in_flight = 0
-        self.connections_open = 0
-        self.connections_total = 0
-        #: Latency histogram: counts per LATENCY_BUCKETS_MS bound,
-        #: plus one overflow bucket.
-        self.latency_buckets = [0] * (len(LATENCY_BUCKETS_MS) + 1)
-        self.latency_count = 0
-        self.latency_total_ms = 0.0
-        #: Every served expansion's pipeline counters, merged — the
-        #: daemon-wide cache hit ratio lives here.
-        self.pipeline = PipelineStats()
 
-    def count_request(self, op: str) -> None:
-        with self._lock:
-            self.requests[op] = self.requests.get(op, 0) + 1
+#: The numeric :class:`PipelineStats` fields.  The daemon sums each
+#: over every served expansion into ``ms2_<field>_total``, except the
+#: three expansion-cache outcomes, which share one family by result.
+_PIPELINE_FIELDS = tuple(
+    name
+    for name in PipelineStats.__dataclass_fields__
+    if isinstance(getattr(PipelineStats(), name), (int, float))
+)
+_CACHE_RESULTS = {
+    "cache_hits": "hit",
+    "cache_misses": "miss",
+    "cache_uncacheable": "uncacheable",
+}
 
-    # Every mutation below goes through a locked method too — handler
-    # code must never poke the counters directly (the event loop and
-    # executor threads both mutate this object).
 
-    def connection_opened(self) -> None:
-        with self._lock:
-            self.connections_open += 1
-            self.connections_total += 1
+def _pipeline_series(field: str) -> tuple[str, dict[str, str]]:
+    """(family name, labels) of one :data:`_PIPELINE_FIELDS` entry."""
+    if field in _CACHE_RESULTS:
+        return (
+            "ms2_expansion_cache_lookups_total",
+            {"result": _CACHE_RESULTS[field]},
+        )
+    return f"ms2_{field}_total", {}
 
-    def connection_closed(self) -> None:
-        with self._lock:
-            self.connections_open -= 1
 
-    def count_disconnect(self) -> None:
-        with self._lock:
-            self.client_disconnects += 1
+def _series(
+    snapshot: dict[str, Any], name: str
+) -> list[tuple[dict[str, str], Any]]:
+    """``(labels, value)`` for every sample of one snapshot family."""
+    entry = (snapshot.get("metrics") or {}).get(name) or {}
+    labelnames = entry.get("labelnames", [])
+    return [
+        (dict(zip(labelnames, key)), value)
+        for key, value in entry.get("samples", [])
+    ]
 
-    def count_bad_frame(self) -> None:
-        with self._lock:
-            self.bad_frames += 1
 
-    def count_busy(self) -> None:
-        with self._lock:
-            self.busy_rejections += 1
+def stats_view(
+    snapshot: dict[str, Any], info: dict[str, Any]
+) -> dict[str, Any]:
+    """The ``stats`` op payload (also ``/statusz``), computed from a
+    registry snapshot: one daemon's, or a fleet's merge of every
+    shard's — so the single-daemon and fleet views cannot drift.
 
-    def count_shed(self) -> None:
-        with self._lock:
-            self.busy_rejections += 1
-            self.shed_rejections += 1
+    ``info`` carries what is not a metric: the ``server`` section,
+    the fault plan's ``armed``/``seed``, the snapshot-cache
+    ``cache_dir`` and the sidecar's ``metrics_address``.
+    """
 
-    def latency_histogram(self) -> tuple[list[int], float, int]:
-        """(per-bucket counts, total ms, count) — a consistent copy
-        for the telemetry collector."""
-        with self._lock:
-            return (
-                list(self.latency_buckets),
-                self.latency_total_ms,
-                self.latency_count,
-            )
+    def total(name: str, **labels: str) -> float:
+        return sum(
+            value
+            for found, value in _series(snapshot, name)
+            if found.items() >= labels.items()
+        )
 
-    def count_response(self, response: dict[str, Any]) -> None:
-        with self._lock:
-            if response.get("ok"):
-                self.responses["ok"] += 1
-            else:
-                self.responses["error"] += 1
-                code = (response.get("error") or {}).get("code", "?")
-                self.error_codes[code] = self.error_codes.get(code, 0) + 1
+    def count(name: str) -> int:
+        return int(total(name))
 
-    def enter(self) -> None:
-        with self._lock:
-            self.in_flight += 1
-            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+    def by(name: str, label: str) -> dict[str, float]:
+        return {found[label]: v for found, v in _series(snapshot, name)}
 
-    def exit(self) -> None:
-        with self._lock:
-            self.in_flight -= 1
+    def counts(name: str, label: str) -> dict[str, int]:
+        return {key: int(value) for key, value in by(name, label).items()}
 
-    def observe_latency(self, ms: float) -> None:
-        with self._lock:
-            self.latency_count += 1
-            self.latency_total_ms += ms
-            for index, bound in enumerate(LATENCY_BUCKETS_MS):
-                if ms <= bound:
-                    self.latency_buckets[index] += 1
-                    break
-            else:
-                self.latency_buckets[-1] += 1
+    latency = next(
+        (value for _, value in _series(snapshot, "ms2_request_latency_ms")),
+        {"counts": [0] * (len(LATENCY_BUCKETS_MS) + 1), "sum": 0.0,
+         "count": 0},
+    )
+    buckets = {
+        f"{bound:g}": int(n)
+        for bound, n in zip(LATENCY_BUCKETS_MS, latency["counts"])
+    }
+    buckets["+Inf"] = int(latency["counts"][-1])
+    served = int(latency["count"])
 
-    def merge_pipeline(self, stats: PipelineStats) -> None:
-        with self._lock:
-            self.pipeline.merge(stats)
+    pipeline = PipelineStats()
+    for field in _PIPELINE_FIELDS:
+        name, labels = _pipeline_series(field)
+        kind = type(getattr(pipeline, field))
+        setattr(pipeline, field, kind(total(name, **labels)))
+    for phase, ms in by("ms2_pipeline_phase_ms_total", "phase").items():
+        pipeline.phase_seconds[phase] = ms / 1000.0
+    pipeline.phase_calls.update(
+        counts("ms2_pipeline_phase_calls_total", "phase")
+    )
 
-    def to_json(self) -> dict[str, Any]:
-        with self._lock:
-            buckets = {
-                f"{bound:g}": count
-                for bound, count in zip(
-                    LATENCY_BUCKETS_MS, self.latency_buckets
-                )
-            }
-            buckets["+Inf"] = self.latency_buckets[-1]
-            mean = (
-                self.latency_total_ms / self.latency_count
-                if self.latency_count
-                else 0.0
-            )
-            return {
-                "uptime_s": round(perf_counter() - self.started, 3),
-                "requests": dict(self.requests),
-                "responses": dict(self.responses),
-                "error_codes": dict(self.error_codes),
-                "busy_rejections": self.busy_rejections,
-                "shed_rejections": self.shed_rejections,
-                "bad_frames": self.bad_frames,
-                "client_disconnects": self.client_disconnects,
-                "in_flight": self.in_flight,
-                "peak_in_flight": self.peak_in_flight,
-                "connections_open": self.connections_open,
-                "connections_total": self.connections_total,
-                "latency_ms": {
-                    "count": self.latency_count,
-                    "mean": round(mean, 3),
-                    "buckets": buckets,
-                },
-                "expansion_cache": {
-                    "hits": self.pipeline.cache_hits,
-                    "misses": self.pipeline.cache_misses,
-                    "hit_rate": round(
-                        self.pipeline.cache_hit_rate(), 4
-                    ),
-                },
-                "pipeline": self.pipeline.to_json(),
-            }
+    tiers: dict[str, dict[str, float]] = {}
+    for labels, value in _series(snapshot, "ms2_cache_backend_ops_total"):
+        tiers.setdefault(labels["tier"], {})[labels["kind"]] = int(value)
+    for key in ("load_ms", "store_ms"):
+        family = f"ms2_cache_backend_{key}_total"
+        for tier, value in by(family, "tier").items():
+            tiers.setdefault(tier, {})[key] = round(value, 3)
+    events = _series(snapshot, "ms2_event_log_records_total")
+
+    return {
+        "uptime_s": total("ms2_uptime_seconds"),
+        "requests": counts("ms2_requests_total", "op"),
+        "responses": counts("ms2_responses_total", "status"),
+        "error_codes": counts("ms2_response_errors_total", "code"),
+        "busy_rejections": count("ms2_busy_rejections_total"),
+        "shed_rejections": count("ms2_load_shed_total"),
+        "bad_frames": count("ms2_bad_frames_total"),
+        "client_disconnects": count("ms2_client_disconnects_total"),
+        "in_flight": count("ms2_in_flight"),
+        "peak_in_flight": count("ms2_peak_in_flight"),
+        "connections_open": count("ms2_connections_open"),
+        "connections_total": count("ms2_connections_total"),
+        "latency_ms": {
+            "count": served,
+            "mean": round(latency["sum"] / served, 3) if served else 0.0,
+            "buckets": buckets,
+        },
+        "expansion_cache": {
+            "hits": pipeline.cache_hits,
+            "misses": pipeline.cache_misses,
+            "hit_rate": round(pipeline.cache_hit_rate(), 4),
+        },
+        "pipeline": pipeline.to_json(),
+        "server": info["server"],
+        "workers": {
+            "warm_hits": count("ms2_worker_pool_warm_hits_total"),
+            "cold_builds": count("ms2_worker_pool_cold_builds_total"),
+            "spares": count("ms2_worker_pool_spares"),
+            "idle": counts("ms2_worker_pool_idle", "pool"),
+            "replenishes": count("ms2_worker_pool_replenishes_total"),
+            "replenish_ms": round(
+                total("ms2_worker_pool_replenish_ms_total"), 3
+            ),
+            "prewarms": count("ms2_worker_pool_prewarms_total"),
+            "replenish_failures": count(
+                "ms2_worker_pool_replenish_failures_total"
+            ),
+        },
+        "resilience": {
+            "worker_restarts": count("ms2_build_worker_restarts_total"),
+            "replenish_failures": count(
+                "ms2_worker_pool_replenish_failures_total"
+            ),
+            "eventlog_errors": count("ms2_eventlog_errors_total"),
+            "client_retries": count("ms2_client_retries_total"),
+            "client_fallbacks": count("ms2_client_fallbacks_total"),
+        },
+        "faults": {
+            **info["faults"],
+            "injected": counts("ms2_faults_injected_total", "site"),
+        },
+        # The daemon's build sessions are always local-only, so the
+        # persistent disk cache is exactly the ``local`` tier.
+        "disk_cache": {"dir": info["cache_dir"], **tiers.get("local", {})},
+        "cache_backends": {
+            "dir": info["cache_dir"],
+            "tiers": tiers,
+            "write_behind": {
+                "depth": count("ms2_cache_backend_write_behind_depth"),
+                "dropped": count(
+                    "ms2_cache_backend_write_behind_dropped_total"
+                ),
+            },
+        },
+        "telemetry": {
+            "metrics_address": info["metrics_address"],
+            "event_log_records": (
+                count("ms2_event_log_records_total") if events else None
+            ),
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +616,15 @@ class Ms2Server:
         else:
             self.cache_authority = None
 
-        self.metrics = ServerMetrics()
-        self.pool = WorkerPool(spares=warm_spares)
+        #: The daemon's only counter store: hot paths update it where
+        #: each event happens; ``stats``, ``/statusz``, ``/metrics``
+        #: and the fleet view all read it (see :func:`stats_view`).
+        self.registry = MetricsRegistry()
+        self._m = self._register_families(self.registry)
+        self.pool = WorkerPool(spares=warm_spares, registry=self.registry)
+        self._started = perf_counter()
+        #: High-water mark of ``_active`` (``ms2_peak_in_flight``).
+        self._peak_active = 0
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_inflight,
             thread_name_prefix="ms2-worker",
@@ -596,9 +656,6 @@ class Ms2Server:
         self.metrics_port = metrics_port
         self.metrics_host = metrics_host
         self.sidecar: Any = None
-        #: The unified metrics registry: every layer's counters
-        #: mirrored at scrape time (see :meth:`_collect_telemetry`).
-        self.registry = self._build_registry()
 
     @classmethod
     def from_config(
@@ -641,367 +698,197 @@ class Ms2Server:
         """True once shutdown has begun (``/healthz`` flips to 503)."""
         return self._draining
 
-    def _build_registry(self) -> MetricsRegistry:
-        """The unified metrics registry.  Hot paths keep their plain
-        counters; one collector mirrors every layer into Prometheus
-        samples at scrape time, so telemetry that is never scraped
-        costs the request path nothing."""
-        reg = MetricsRegistry()
+    def _register_families(self, reg: MetricsRegistry) -> dict[str, Any]:
+        """Register the daemon's own families (the worker pool adds
+        its own) plus the collector for counters other modules own."""
         m: dict[str, Any] = {}
-        m["info"] = reg.gauge(
+
+        def counter(key: str, name: str, help: str, *labels: str) -> None:
+            m[key] = (
+                reg.counter(name, help, labels)
+                if labels
+                else _counter(reg, name, help)
+            )
+
+        def gauge(key: str, name: str, help: str, merge: str = "sum",
+                  value: float = 0.0) -> None:
+            m[key] = reg.gauge(name, help, merge=merge)
+            m[key].set(value)
+
+        reg.gauge(
             "ms2_server_info",
             "Constant 1, labeled with server version and protocol",
             ("version", "protocol"), merge="last",
-        )
-        m["uptime"] = reg.gauge(
-            "ms2_uptime_seconds", "Seconds since server start",
-            merge="max",
-        )
-        m["draining"] = reg.gauge(
-            "ms2_draining", "1 once shutdown has begun", merge="max"
-        )
-        m["max_inflight"] = reg.gauge(
-            "ms2_max_inflight", "Concurrent-expansion cap", merge="max"
-        )
-        m["queue_limit"] = reg.gauge(
-            "ms2_queue_limit", "Bounded admission queue depth",
-            merge="max",
-        )
-        m["requests"] = reg.counter(
-            "ms2_requests_total", "Requests received, by op", ("op",)
-        )
-        m["responses"] = reg.counter(
-            "ms2_responses_total", "Responses sent, by status",
-            ("status",),
-        )
-        m["error_codes"] = reg.counter(
-            "ms2_response_errors_total",
-            "Error responses, by protocol error code", ("code",),
-        )
-        m["busy"] = reg.counter(
-            "ms2_busy_rejections_total",
-            "Requests rejected by admission control",
-        )
-        m["shed"] = reg.counter(
-            "ms2_load_shed_total",
-            "Expensive requests shed by the mid-load tier "
-            "(a subset of ms2_busy_rejections_total)",
-        )
-        m["bad_frames"] = reg.counter(
-            "ms2_bad_frames_total", "Malformed or oversized frames"
-        )
-        m["disconnects"] = reg.counter(
-            "ms2_client_disconnects_total",
-            "Connections dropped mid-conversation",
-        )
-        m["conns_open"] = reg.gauge(
-            "ms2_connections_open", "Currently open connections"
-        )
-        m["conns_total"] = reg.counter(
-            "ms2_connections_total", "Connections accepted"
-        )
-        m["in_flight"] = reg.gauge(
-            "ms2_in_flight", "Work requests currently admitted"
-        )
-        m["peak_in_flight"] = reg.gauge(
-            "ms2_peak_in_flight", "High-water mark of ms2_in_flight",
-            merge="max",
-        )
+        ).set(1, version=__version__, protocol=str(PROTOCOL_VERSION))
+        gauge("max_inflight", "ms2_max_inflight",
+              "Concurrent-expansion cap", "max", self.max_inflight)
+        gauge("queue_limit", "ms2_queue_limit",
+              "Bounded admission queue depth", "max", self.queue_limit)
+        counter("requests", "ms2_requests_total",
+                "Requests received, by op", "op")
+        counter("responses", "ms2_responses_total",
+                "Responses sent, by status", "status")
+        for status in ("ok", "error"):
+            m["responses"].inc(0, status=status)
+        counter("error_codes", "ms2_response_errors_total",
+                "Error responses, by protocol error code", "code")
+        counter("busy", "ms2_busy_rejections_total",
+                "Requests rejected by admission control")
+        counter("shed", "ms2_load_shed_total",
+                "Expensive requests shed by the mid-load tier "
+                "(a subset of ms2_busy_rejections_total)")
+        counter("bad_frames", "ms2_bad_frames_total",
+                "Malformed or oversized frames")
+        counter("disconnects", "ms2_client_disconnects_total",
+                "Connections dropped mid-conversation")
+        counter("conns_total", "ms2_connections_total",
+                "Connections accepted")
+        gauge("conns_open", "ms2_connections_open",
+              "Currently open connections")
+        gauge("in_flight", "ms2_in_flight",
+              "Work requests currently admitted")
+        gauge("peak_in_flight", "ms2_peak_in_flight",
+              "High-water mark of ms2_in_flight", "max")
         m["latency"] = reg.histogram(
             "ms2_request_latency_ms",
             "Work-request wall time, milliseconds",
             LATENCY_BUCKETS_MS,
         )
-        m["expansion_cache"] = reg.counter(
+        # Registered before the loop below re-registers it, so the
+        # family shared by the three cache fields keeps this help.
+        reg.counter(
             "ms2_expansion_cache_lookups_total",
-            "In-memory expansion cache lookups, by result",
-            ("result",),
+            "In-memory expansion cache lookups, by result", ("result",),
         )
-        m["expansions"] = reg.counter(
-            "ms2_expansions_total", "Macro invocations expanded"
-        )
-        m["bodies_compiled"] = reg.counter(
-            "ms2_bodies_compiled_total",
-            "Macro bodies lowered to Python closures",
-        )
-        m["templates_compiled"] = reg.counter(
-            "ms2_templates_compiled_total",
-            "Backquote templates lowered inside compiled bodies",
-        )
-        m["compile_fallbacks"] = reg.counter(
-            "ms2_compile_fallbacks_total",
-            "Macro bodies that fell back to the interpreter",
-        )
-        m["compile_ms"] = reg.counter(
-            "ms2_compile_time_ms_total",
-            "Wall milliseconds spent compiling macro bodies",
-        )
-        m["warm_hits"] = reg.counter(
-            "ms2_worker_pool_warm_hits_total",
-            "Requests served by a pre-built warm worker",
-        )
-        m["cold_builds"] = reg.counter(
-            "ms2_worker_pool_cold_builds_total",
-            "Requests that built their worker inline",
-        )
-        m["pool_idle"] = reg.gauge(
-            "ms2_worker_pool_idle",
-            "Warm spare workers currently idle, by pool key",
-            ("pool",),
-        )
-        m["pool_spares"] = reg.gauge(
-            "ms2_worker_pool_spares",
-            "Configured spare workers per pool key", merge="max",
-        )
-        m["replenishes"] = reg.counter(
-            "ms2_worker_pool_replenishes_total",
-            "Warm spares rebuilt off the request path",
-        )
-        m["replenish_ms"] = reg.counter(
-            "ms2_worker_pool_replenish_ms_total",
-            "Wall milliseconds spent rebuilding warm spares",
-        )
-        m["prewarms"] = reg.counter(
-            "ms2_worker_pool_prewarms_total",
-            "Warm spares built before the listener accepted traffic",
-        )
-        m["disk_ops"] = reg.counter(
-            "ms2_disk_cache_ops_total",
-            "Persistent snapshot cache outcomes, by kind",
-            ("kind",),
-        )
-        m["cache_backend_ops"] = reg.counter(
-            "ms2_cache_backend_ops_total",
-            "Snapshot cache backend outcomes, by tier "
-            "(authority = this daemon serving cache_get/cache_put; "
-            "local/remote = build-session tiers) and kind",
-            ("tier", "kind"),
-        )
-        m["cache_backend_load_ms"] = reg.counter(
-            "ms2_cache_backend_load_ms_total",
-            "Wall milliseconds loading snapshots, by tier", ("tier",),
-        )
-        m["cache_backend_store_ms"] = reg.counter(
-            "ms2_cache_backend_store_ms_total",
-            "Wall milliseconds storing snapshots, by tier", ("tier",),
-        )
-        m["cache_wb_depth"] = reg.gauge(
-            "ms2_cache_backend_write_behind_depth",
-            "Remote publishes waiting in write-behind queues",
-        )
-        m["cache_wb_dropped"] = reg.counter(
-            "ms2_cache_backend_write_behind_dropped_total",
-            "Remote publishes dropped on write-behind queue overflow",
-        )
-        m["disk_load_ms"] = reg.counter(
-            "ms2_disk_cache_load_ms_total",
-            "Wall milliseconds spent loading snapshots",
-        )
-        m["disk_store_ms"] = reg.counter(
-            "ms2_disk_cache_store_ms_total",
-            "Wall milliseconds spent storing snapshots",
-        )
+        m["pipeline"] = []
+        for field in _PIPELINE_FIELDS:
+            name, labels = _pipeline_series(field)
+            metric = reg.counter(
+                name,
+                f"PipelineStats.{field} summed over served expansions",
+                tuple(labels),
+            )
+            metric.inc(0, **labels)
+            m["pipeline"].append((field, metric, labels))
+        counter("phase_ms", "ms2_pipeline_phase_ms_total",
+                "Profiled wall milliseconds per pipeline phase "
+                "(phases nest)", "phase")
+        counter("phase_calls", "ms2_pipeline_phase_calls_total",
+                "Profiled entries per pipeline phase", "phase")
+
+        # Scrape-time state and the counters other modules own.
+        gauge("uptime", "ms2_uptime_seconds",
+              "Seconds since server start", "max")
+        gauge("draining", "ms2_draining",
+              "1 once shutdown has begun", "max")
+        counter("cache_ops", "ms2_cache_backend_ops_total",
+                "Snapshot cache backend outcomes, by tier "
+                "(authority = this daemon serving cache_get/cache_put; "
+                "local = its expand_file build sessions) and kind",
+                "tier", "kind")
+        counter("cache_load_ms", "ms2_cache_backend_load_ms_total",
+                "Wall milliseconds loading snapshots, by tier", "tier")
+        counter("cache_store_ms", "ms2_cache_backend_store_ms_total",
+                "Wall milliseconds storing snapshots, by tier", "tier")
+        # The daemon's build sessions never publish remotely, so these
+        # two read zero; they keep the build-side families' names.
+        gauge("cache_wb_depth", "ms2_cache_backend_write_behind_depth",
+              "Remote publishes waiting in write-behind queues")
+        counter("cache_wb_dropped",
+                "ms2_cache_backend_write_behind_dropped_total",
+                "Remote publishes dropped on write-behind queue overflow")
+        # No sample at all while the event log is off (stats: None).
         m["events"] = reg.counter(
             "ms2_event_log_records_total",
             "Structured event-log records written",
         )
-        m["eventlog_errors"] = reg.counter(
-            "ms2_eventlog_errors_total",
-            "Event-log write failures absorbed off the request path",
-        )
-        m["faults"] = reg.counter(
-            "ms2_faults_injected_total",
-            "Faults fired by the injection framework, by site",
-            ("site",),
-        )
-        m["client_retries"] = reg.counter(
-            "ms2_client_retries_total",
-            "Transient failures retried by in-process Ms2Client "
-            "instances",
-        )
-        m["client_fallbacks"] = reg.counter(
-            "ms2_client_fallbacks_total",
-            "Requests degraded to local in-process expansion",
-        )
-        m["worker_restarts"] = reg.counter(
-            "ms2_build_worker_restarts_total",
-            "Build executors rebuilt after worker death",
-        )
-        m["replenish_failures"] = reg.counter(
-            "ms2_worker_pool_replenish_failures_total",
-            "Warm-spare builds that raised (retried off the request "
-            "path)",
-        )
-        self._telemetry = m
-        reg.register_collector(self._collect_telemetry)
-        return reg
+        counter("eventlog_errors", "ms2_eventlog_errors_total",
+                "Event-log write failures absorbed off the request path")
+        counter("faults", "ms2_faults_injected_total",
+                "Faults fired by the injection framework, by site",
+                "site")
+        counter("client_retries", "ms2_client_retries_total",
+                "Transient failures retried by in-process Ms2Client "
+                "instances")
+        counter("client_fallbacks", "ms2_client_fallbacks_total",
+                "Requests degraded to local in-process expansion")
+        counter("worker_restarts", "ms2_build_worker_restarts_total",
+                "Build executors rebuilt after worker death")
+        reg.register_collector(self._collect_owned)
+        return m
 
-    def _collect_telemetry(self, reg: MetricsRegistry) -> None:
-        """Mirror every layer's live counters into the registry
-        (runs at scrape/snapshot time, never on the request path)."""
-        m = self._telemetry
-        snap = self.metrics.to_json()
-        m["info"].set(
-            1, version=__version__, protocol=str(PROTOCOL_VERSION)
-        )
-        m["uptime"].set(snap["uptime_s"])
+    def _collect_owned(self, reg: MetricsRegistry) -> None:
+        """Copy in, at scrape time, uptime, the drain flag and the
+        counters other modules own: the snapshot caches (the authority
+        store and every build session's), build-executor restarts,
+        the event log, the fault plan and the in-process client's
+        resilience counters."""
+        from repro.client import client_counters
+
+        m = self._m
+        m["uptime"].set(round(perf_counter() - self._started, 3))
         m["draining"].set(1.0 if self._draining else 0.0)
-        m["max_inflight"].set(self.max_inflight)
-        m["queue_limit"].set(self.queue_limit)
-        for op, count in snap["requests"].items():
-            m["requests"].set_total(count, op=op)
-        for status, count in snap["responses"].items():
-            m["responses"].set_total(count, status=status)
-        for code, count in snap["error_codes"].items():
-            m["error_codes"].set_total(count, code=code)
-        m["busy"].set_total(snap["busy_rejections"])
-        m["shed"].set_total(snap["shed_rejections"])
-        m["bad_frames"].set_total(snap["bad_frames"])
-        m["disconnects"].set_total(snap["client_disconnects"])
-        m["conns_open"].set(snap["connections_open"])
-        m["conns_total"].set_total(snap["connections_total"])
-        m["in_flight"].set(snap["in_flight"])
-        m["peak_in_flight"].set(snap["peak_in_flight"])
-        counts, total_ms, count = self.metrics.latency_histogram()
-        m["latency"].load(counts, total_ms, count)
-        pipeline = snap["pipeline"]
-        m["expansion_cache"].set_total(
-            pipeline["cache_hits"], result="hit"
+        with self._sessions_lock:
+            sessions = list(self._sessions.values())
+        # Sessions are built over the local cache dir only (see
+        # _session_for), so each is one flat PersistentCache tier.
+        caches = [
+            ("local", s.cache) for s in sessions if s.cache is not None
+        ]
+        if self.cache_authority is not None:
+            caches.insert(0, ("authority", self.cache_authority))
+        tiers: dict[str, dict[str, float]] = {}
+        for tier, cache in caches:
+            into = tiers.setdefault(tier, {})
+            for kind, value in cache.counters().items():
+                into[kind] = into.get(kind, 0) + value
+        for tier, flat in tiers.items():
+            for kind, value in flat.items():
+                if kind in ("load_ms", "store_ms"):
+                    m[f"cache_{kind}"].set_total(value, tier=tier)
+                else:
+                    m["cache_ops"].set_total(value, tier=tier, kind=kind)
+        m["worker_restarts"].set_total(
+            sum(session.worker_restarts for session in sessions)
         )
-        m["expansion_cache"].set_total(
-            pipeline["cache_misses"], result="miss"
-        )
-        m["expansion_cache"].set_total(
-            pipeline["cache_uncacheable"], result="uncacheable"
-        )
-        m["expansions"].set_total(pipeline["expansions"])
-        m["bodies_compiled"].set_total(pipeline["bodies_compiled"])
-        m["templates_compiled"].set_total(
-            pipeline["templates_compiled"]
-        )
-        m["compile_fallbacks"].set_total(pipeline["compile_fallbacks"])
-        m["compile_ms"].set_total(pipeline["compile_time_ms"])
-        m["warm_hits"].set_total(self.pool.warm_hits)
-        m["cold_builds"].set_total(self.pool.cold_builds)
-        for pool_key, idle in self.pool.idle_counts().items():
-            m["pool_idle"].set(idle, pool=pool_key)
-        m["pool_spares"].set(self.pool.spares)
-        m["replenishes"].set_total(self.pool.replenishes)
-        m["replenish_ms"].set_total(self.pool.replenish_ms)
-        m["prewarms"].set_total(self.pool.prewarms)
-        disk = self._disk_counters()
-        for kind in ("hits", "misses", "failures", "evictions"):
-            m["disk_ops"].set_total(disk.get(kind, 0), kind=kind)
-        m["disk_load_ms"].set_total(disk.get("load_ms", 0.0))
-        m["disk_store_ms"].set_total(disk.get("store_ms", 0.0))
-        for tier, flat in self._cache_backend_tiers().items():
-            for kind in (
-                "hits", "misses", "failures", "evictions",
-                "loads", "stores", "timeouts", "errors", "skipped",
-            ):
-                if kind in flat:
-                    m["cache_backend_ops"].set_total(
-                        flat[kind], tier=tier, kind=kind
-                    )
-            m["cache_backend_load_ms"].set_total(
-                flat.get("load_ms", 0.0), tier=tier
-            )
-            m["cache_backend_store_ms"].set_total(
-                flat.get("store_ms", 0.0), tier=tier
-            )
-        wb = self._cache_write_behind()
-        m["cache_wb_depth"].set(wb.get("depth", 0))
-        m["cache_wb_dropped"].set_total(wb.get("dropped", 0))
         if self.event_log is not None:
             m["events"].set_total(self.event_log.events_written)
-        m["eventlog_errors"].set_total(
-            self.event_log.errors_total
-            if self.event_log is not None
-            else 0
-        )
+            m["eventlog_errors"].set_total(self.event_log.errors_total)
         if faults.ACTIVE is not None:
             for site, fired in faults.ACTIVE.counters().items():
                 m["faults"].set_total(fired, site=site)
-        from repro.client import client_counters
-
         client = client_counters()
         m["client_retries"].set_total(client["retries"])
         m["client_fallbacks"].set_total(client["fallbacks"])
-        m["worker_restarts"].set_total(self._worker_restarts())
-        m["replenish_failures"].set_total(self.pool.replenish_failures)
 
-    def _disk_counters(self) -> dict[str, float]:
-        """Persistent-cache counters summed over every BuildSession.
-        Only numeric top-level entries count — a tiered backend's
-        nested per-tier dicts are surfaced separately by
-        :meth:`_cache_backend_tiers`."""
-        disk: dict[str, float] = {}
-        with self._sessions_lock:
-            for session in self._sessions.values():
-                if session.cache is None:
-                    continue
-                for name, value in session.cache.counters().items():
-                    if isinstance(value, bool) or not isinstance(
-                        value, (int, float)
-                    ):
-                        continue
-                    disk[name] = disk.get(name, 0) + value
-        return disk
-
-    def _cache_backend_tiers(self) -> dict[str, dict[str, float]]:
-        """Per-tier cache counters: the daemon's own authority store
-        plus every build session's backend, summed by tier name (the
-        ``ms2_cache_backend_*`` label set)."""
-        from repro.driver.cachebackend import backend_tiers
-
-        tiers: dict[str, dict[str, float]] = {}
-
-        def fold(tier: str, flat: dict[str, float]) -> None:
-            into = tiers.setdefault(tier, {})
-            for name, value in flat.items():
-                into[name] = into.get(name, 0) + value
-
-        if self.cache_authority is not None:
-            fold("authority", self.cache_authority.counters())
-        with self._sessions_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            if session.cache is None:
-                continue
-            for tier, flat in backend_tiers(
-                session.cache.counters()
-            ).items():
-                fold(tier, flat)
-        return tiers
-
-    def _cache_write_behind(self) -> dict[str, float]:
-        """Write-behind queue accounting summed over every session
-        backend that publishes asynchronously (empty on a pure-local
-        daemon — the families still expose zeros)."""
-        totals: dict[str, float] = {}
-        with self._sessions_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            if session.cache is None:
-                continue
-            wb = session.cache.counters().get("write_behind")
-            if not isinstance(wb, dict):
-                continue
-            for name, value in wb.items():
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    continue
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-    def _worker_restarts(self) -> int:
-        """Build-executor rebuilds summed over every BuildSession."""
-        with self._sessions_lock:
-            return sum(
-                session.worker_restarts
-                for session in self._sessions.values()
+    def _count_pipeline(self, stats: PipelineStats) -> None:
+        """Add one expansion's pipeline counters to the registry."""
+        for field, metric, labels in self._m["pipeline"]:
+            value = getattr(stats, field)
+            if value:
+                metric.inc(value, **labels)
+        for phase, seconds in stats.phase_seconds.items():
+            self._m["phase_ms"].inc(seconds * 1000.0, phase=phase)
+            self._m["phase_calls"].inc(
+                stats.phase_calls.get(phase, 0), phase=phase
             )
+
+    def _admit(self, delta: int) -> None:
+        """Move the admitted-work count (event loop only) and the
+        in-flight gauges that mirror it."""
+        self._active += delta
+        self._m["in_flight"].set(self._active)
+        if self._active > self._peak_active:
+            self._peak_active = self._active
+            self._m["peak_in_flight"].set(self._active)
+
+    def _mean_latency_ms(self, default: float) -> float:
+        """Mean work-request latency so far (``default`` before the
+        first one completes)."""
+        for _, sample in self._m["latency"].samples():
+            if sample["count"]:
+                return sample["sum"] / sample["count"]
+        return default
 
     def _log_event(
         self, event: str, request_id: str | None, **fields: Any
@@ -1152,17 +1039,18 @@ class Ms2Server:
         writer: asyncio.StreamWriter,
     ) -> None:
         self._writers.add(writer)
-        self.metrics.connection_opened()
+        self._m["conns_open"].inc()
+        self._m["conns_total"].inc()
         try:
             await self._conn_loop(reader, writer)
         except (OSError, asyncio.IncompleteReadError):
             # Any socket-level failure — reset, broken pipe, or an
             # injected frame-write fault — is a disconnect, never an
             # unhandled task exception.
-            self.metrics.count_disconnect()
+            self._m["disconnects"].inc()
         finally:
             self._writers.discard(writer)
-            self.metrics.connection_closed()
+            self._m["conns_open"].dec()
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -1179,7 +1067,7 @@ class Ms2Server:
                 # The frame exceeded max_frame_bytes.  The stream
                 # cannot be resynchronized mid-frame: answer, then
                 # close this connection.
-                self.metrics.count_bad_frame()
+                self._m["bad_frames"].inc()
                 await self._send(
                     writer,
                     _err(
@@ -1199,7 +1087,7 @@ class Ms2Server:
                 if not isinstance(request, dict):
                     raise ValueError("frame must be a JSON object")
             except (ValueError, UnicodeDecodeError) as exc:
-                self.metrics.count_bad_frame()
+                self._m["bad_frames"].inc()
                 await self._send(
                     writer,
                     _err(None, None, "bad_request",
@@ -1215,7 +1103,12 @@ class Ms2Server:
     async def _send(
         self, writer: asyncio.StreamWriter, response: dict[str, Any]
     ) -> None:
-        self.metrics.count_response(response)
+        if response.get("ok"):
+            self._m["responses"].inc(status="ok")
+        else:
+            self._m["responses"].inc(status="error")
+            code = (response.get("error") or {}).get("code", "?")
+            self._m["error_codes"].inc(code=code)
         frame = json.dumps(response).encode("utf-8") + b"\n"
         if faults.ACTIVE is not None:
             frame = faults.ACTIVE.hit(
@@ -1281,7 +1174,7 @@ class Ms2Server:
     ) -> dict[str, Any]:
         op = request.get("op")
         rid = request.get("id")
-        self.metrics.count_request(op if isinstance(op, str) else "?")
+        self._m["requests"].inc(op=op if isinstance(op, str) else "?")
         if op == "ping":
             return _ok(rid, op, {
                 "pong": True,
@@ -1292,7 +1185,7 @@ class Ms2Server:
         if op == "stats":
             return _ok(rid, op, self.stats_payload())
         if op == "telemetry":
-            return _ok(rid, op, {"snapshot": self.registry.snapshot()})
+            return _ok(rid, op, self.telemetry_payload())
         if op == "shutdown":
             return _ok(rid, op, {"draining": True})
         if op in _CACHE_OPS:
@@ -1319,7 +1212,7 @@ class Ms2Server:
                         retry_after_ms=self.retry_after_ms())
         tier = self.load_tier()
         if tier == "busy":
-            self.metrics.count_busy()
+            self._m["busy"].inc()
             return _err(
                 rid, op, "busy",
                 "server at capacity; retry later",
@@ -1328,7 +1221,8 @@ class Ms2Server:
                 retry_after_ms=self.retry_after_ms(),
             )
         if tier == "shed_expensive" and self._is_expensive(request):
-            self.metrics.count_shed()
+            self._m["busy"].inc()
+            self._m["shed"].inc()
             return _err(
                 rid, op, "busy",
                 "server under load; expensive (cold-build) request "
@@ -1340,8 +1234,7 @@ class Ms2Server:
                 retry_after_ms=self.retry_after_ms(),
             )
 
-        self._active += 1
-        self.metrics.enter()
+        self._admit(1)
         start = perf_counter()
         loop = asyncio.get_running_loop()
         try:
@@ -1357,12 +1250,11 @@ class Ms2Server:
                 f"{type(exc).__name__}: {exc}",
             )
         finally:
-            self._active -= 1
-            self.metrics.exit()
+            self._admit(-1)
             assert self._idle_event is not None
             if self._active == 0:
                 self._idle_event.set()
-        self.metrics.observe_latency((perf_counter() - start) * 1000.0)
+        self._m["latency"].observe((perf_counter() - start) * 1000.0)
         return response
 
     # ------------------------------------------------------------------
@@ -1492,12 +1384,7 @@ class Ms2Server:
         """Histogram-estimated queueing delay for a newly admitted
         request: requests ahead of it times the observed mean
         latency."""
-        with self.metrics._lock:
-            mean_ms = (
-                self.metrics.latency_total_ms / self.metrics.latency_count
-                if self.metrics.latency_count
-                else 0.0
-            )
+        mean_ms = self._mean_latency_ms(0.0)
         queued = max(0, self._active - self.max_inflight)
         return mean_ms * queued
 
@@ -1512,12 +1399,7 @@ class Ms2Server:
         observed mean request latency — clamped to
         [:data:`RETRY_AFTER_MIN_MS`, :data:`RETRY_AFTER_MAX_MS`].
         """
-        with self.metrics._lock:
-            mean_ms = (
-                self.metrics.latency_total_ms / self.metrics.latency_count
-                if self.metrics.latency_count
-                else float(self.RETRY_AFTER_MIN_MS)
-            )
+        mean_ms = self._mean_latency_ms(float(self.RETRY_AFTER_MIN_MS))
         queued = max(1, self._active - self.max_inflight + 1)
         hint = mean_ms * queued
         return int(
@@ -1642,7 +1524,7 @@ class Ms2Server:
         try:
             result = worker.expand(source, filename)
         except Ms2Error as exc:
-            self.metrics.merge_pipeline(worker.stats)
+            self._count_pipeline(worker.stats)
             return _err(
                 rid, op, "expansion_error", exc.message,
                 diagnostic=Diagnostic.from_error(exc).to_json(),
@@ -1652,7 +1534,7 @@ class Ms2Server:
             self._schedule_replenish(
                 options, package_names, package_sources
             )
-        self.metrics.merge_pipeline(worker.stats)
+        self._count_pipeline(worker.stats)
         payload = result.to_json()
         payload["warm"] = warm
         if op == "trace" and worker.tracer is not None:
@@ -1683,9 +1565,7 @@ class Ms2Server:
                         str(exc.args[0]))
         [file_result] = report.results
         if file_result.stats:
-            self.metrics.merge_pipeline(
-                PipelineStats.from_json(file_result.stats)
-            )
+            self._count_pipeline(PipelineStats.from_json(file_result.stats))
         if file_result.status != "ok":
             # Infrastructure casualties (worker I/O faults, dead
             # workers) are transient: answer a retryable frame, not
@@ -1770,8 +1650,7 @@ class Ms2Server:
         try:
             self.pool.replenish(options, package_names, package_sources)
         except Exception:  # noqa: BLE001 — isolation boundary
-            with self.pool._lock:
-                self.pool.replenish_failures += 1
+            self.pool.note_replenish_failure()
             if attempts > 1:
                 self._schedule_replenish(
                     options, package_names, package_sources,
@@ -1783,81 +1662,50 @@ class Ms2Server:
     # ------------------------------------------------------------------
 
     def stats_payload(self) -> dict[str, Any]:
-        """The ``stats`` op response body."""
-        payload = self.metrics.to_json()
-        payload["server"] = {
-            "version": __version__,
-            "protocol": PROTOCOL_VERSION,
-            "pid": os.getpid(),
-            "address": self.address,
-            "shard": self.shard_index,
-            "max_inflight": self.max_inflight,
-            "queue_limit": self.queue_limit,
-            "shed_threshold": self.shed_threshold(),
-            "load_tier": self.load_tier(),
-            "max_frame_bytes": self.max_frame_bytes,
-            "default_deadline_s": self.default_deadline_s,
-            "draining": self._draining,
-            "packages": list(self.package_names),
-            "options_hash": self.options.options_hash(),
-        }
-        payload["workers"] = {
-            "warm_hits": self.pool.warm_hits,
-            "cold_builds": self.pool.cold_builds,
-            "spares": self.pool.spares,
-            "idle": self.pool.idle_counts(),
-            "replenishes": self.pool.replenishes,
-            "replenish_ms": round(self.pool.replenish_ms, 3),
-            "prewarms": self.pool.prewarms,
-            "replenish_failures": self.pool.replenish_failures,
-        }
-        from repro.client import client_counters
+        """The ``stats`` op response body: :func:`stats_view` of this
+        daemon's registry."""
+        return stats_view(self.registry.snapshot(), self._stats_info())
 
-        payload["resilience"] = {
-            "worker_restarts": self._worker_restarts(),
-            "replenish_failures": self.pool.replenish_failures,
-            "eventlog_errors": (
-                self.event_log.errors_total
-                if self.event_log is not None
-                else 0
-            ),
-            "client_retries": client_counters()["retries"],
-            "client_fallbacks": client_counters()["fallbacks"],
+    def telemetry_payload(self) -> dict[str, Any]:
+        """The ``telemetry`` op response body: the raw registry
+        snapshot plus the non-metric info, the unit the shard
+        supervisor merges into the fleet view."""
+        return {
+            "snapshot": self.registry.snapshot(),
+            "info": self._stats_info(),
         }
-        payload["faults"] = {
-            "armed": faults.ACTIVE is not None,
-            "seed": (
-                faults.ACTIVE.seed if faults.ACTIVE is not None else None
-            ),
-            "injected": (
-                faults.ACTIVE.counters()
-                if faults.ACTIVE is not None
-                else {}
-            ),
-        }
-        disk = self._disk_counters()
-        for key in ("hits", "misses", "failures", "evictions"):
-            disk.setdefault(key, 0)
-        payload["disk_cache"] = {
-            "dir": str(self.cache_dir) if self.cache_dir else None,
-            **disk,
-        }
-        payload["cache_backends"] = {
-            "dir": str(self.cache_dir) if self.cache_dir else None,
-            "tiers": self._cache_backend_tiers(),
-            "write_behind": self._cache_write_behind(),
-        }
-        payload["telemetry"] = {
+
+    def _stats_info(self) -> dict[str, Any]:
+        """The non-metric half of the ``stats`` payload (see
+        :func:`stats_view`)."""
+        return {
+            "server": {
+                "version": __version__,
+                "protocol": PROTOCOL_VERSION,
+                "pid": os.getpid(),
+                "address": self.address,
+                "shard": self.shard_index,
+                "max_inflight": self.max_inflight,
+                "queue_limit": self.queue_limit,
+                "shed_threshold": self.shed_threshold(),
+                "load_tier": self.load_tier(),
+                "max_frame_bytes": self.max_frame_bytes,
+                "default_deadline_s": self.default_deadline_s,
+                "draining": self._draining,
+                "packages": list(self.package_names),
+                "options_hash": self.options.options_hash(),
+            },
+            "faults": {
+                "armed": faults.ACTIVE is not None,
+                "seed": (
+                    faults.ACTIVE.seed if faults.ACTIVE is not None else None
+                ),
+            },
+            "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "metrics_address": (
                 self.sidecar.address if self.sidecar is not None else None
             ),
-            "event_log_records": (
-                self.event_log.events_written
-                if self.event_log is not None
-                else None
-            ),
         }
-        return payload
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.metrics_http import count_http_request
 from repro.options import Ms2Options
 from repro.serveconfig import ServeConfig
 
 __all__ = [
     "FleetGateway",
     "ShardSupervisor",
-    "aggregate_stats",
+    "fleet_stats_view",
     "run_sharded",
     "shard_for_options_hash",
 ]
@@ -94,181 +95,64 @@ def shard_for_options_hash(options_hash: str | None, shards: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sum_dicts(dicts: list[dict[str, Any]]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for entry in dicts:
-        for key, value in (entry or {}).items():
-            if isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            ):
-                out[key] = out.get(key, 0) + value
-    return out
-
-
-def aggregate_stats(
-    payloads: list[dict[str, Any]],
+def fleet_stats_view(
+    replies: list[dict[str, Any]],
     *,
     supervisor: "ShardSupervisor | None" = None,
 ) -> dict[str, Any]:
-    """Fold per-shard ``stats`` payloads into one fleet view.
+    """The fleet ``stats`` payload from shard ``telemetry`` replies
+    (``{"snapshot", "info"}`` each, in shard order).
 
-    Counters sum, ``uptime_s`` is the fleet maximum, latency
-    histograms merge bucket-by-bucket (every shard uses the shared
-    :data:`~repro.telemetry.LATENCY_BUCKETS_MS` bounds, so buckets
-    align by construction), and the per-shard ``server`` sections are
-    kept verbatim under a new top-level ``"shards"`` list so ``repro
-    top`` can show the breakdown next to the totals.
+    The totals are :func:`repro.server.stats_view` of
+    :func:`repro.telemetry.merge_snapshots` over the supervisor's and
+    every shard's snapshot — the same merge the fleet ``/metrics``
+    serves, so counters sum, peaks and configured sizes take the
+    maximum, and latency buckets merge.  A top-level ``"shards"``
+    list keeps each shard's ``server`` section and load numbers for
+    ``repro top``'s breakdown.
     """
-    from repro.stats import PipelineStats
+    from repro.server import stats_view
+    from repro.telemetry import merge_snapshots
 
-    if not payloads:
-        payloads = [{}]
-    out: dict[str, Any] = {}
-    out["uptime_s"] = max(
-        (p.get("uptime_s", 0.0) for p in payloads), default=0.0
-    )
-    for key in ("requests", "responses", "error_codes"):
-        out[key] = _sum_dicts([p.get(key, {}) for p in payloads])
-    for key in (
-        "busy_rejections",
-        "shed_rejections",
-        "bad_frames",
-        "client_disconnects",
-        "in_flight",
-        "peak_in_flight",
-        "connections_open",
-        "connections_total",
-    ):
-        out[key] = sum(p.get(key, 0) for p in payloads)
-
-    # Latency: buckets sum; the mean recomputes from per-shard
-    # (mean, count) pairs, not an average of averages.
-    buckets = _sum_dicts(
-        [p.get("latency_ms", {}).get("buckets", {}) for p in payloads]
-    )
-    count = sum(p.get("latency_ms", {}).get("count", 0) for p in payloads)
-    total_ms = sum(
-        p.get("latency_ms", {}).get("mean", 0.0)
-        * p.get("latency_ms", {}).get("count", 0)
-        for p in payloads
-    )
-    out["latency_ms"] = {
-        "count": count,
-        "mean": round(total_ms / count, 3) if count else 0.0,
-        "buckets": buckets,
-    }
-
-    cache = _sum_dicts([p.get("expansion_cache", {}) for p in payloads])
-    cache.pop("hit_rate", None)
-    hits = cache.get("hits", 0)
-    lookups = hits + cache.get("misses", 0)
-    cache["hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
-    out["expansion_cache"] = cache
-
-    pipeline = PipelineStats()
-    for p in payloads:
-        if p.get("pipeline"):
-            pipeline.merge(PipelineStats.from_json(p["pipeline"]))
-    out["pipeline"] = pipeline.to_json()
-
-    first_server = next(
-        (p.get("server", {}) for p in payloads if p.get("server")), {}
-    )
-    out["server"] = dict(first_server)
-    out["server"]["pid"] = os.getpid()
-    out["server"]["shard"] = None
-    out["server"]["in_flight"] = out["in_flight"]
+    infos = [reply["info"] for reply in replies]
+    server = dict(infos[0]["server"]) if infos else {}
+    server.update(pid=os.getpid(), shard=None)
+    snapshots = [reply["snapshot"] for reply in replies]
+    metrics_address = None
     if supervisor is not None:
-        out["server"]["address"] = supervisor.address
-        out["server"]["shards"] = supervisor.config.shards
-        out["server"]["shards_alive"] = len(supervisor.live_shards())
-        out["server"]["shard_restarts"] = supervisor.restarts_total
-
-    workers = _sum_dicts([p.get("workers", {}) for p in payloads])
-    workers["idle"] = _sum_dicts(
-        [p.get("workers", {}).get("idle", {}) for p in payloads]
-    )
-    out["workers"] = workers
-    out["resilience"] = _sum_dicts(
-        [p.get("resilience", {}) for p in payloads]
-    )
-    fault_sections = [p.get("faults", {}) for p in payloads]
-    out["faults"] = {
-        "armed": any(f.get("armed") for f in fault_sections),
-        "seed": next(
-            (f.get("seed") for f in fault_sections if f.get("armed")),
-            None,
-        ),
-        "injected": _sum_dicts(
-            [f.get("injected", {}) for f in fault_sections]
-        ),
-    }
-    disk = _sum_dicts([p.get("disk_cache", {}) for p in payloads])
-    disk["dir"] = next(
-        (
-            p.get("disk_cache", {}).get("dir")
-            for p in payloads
-            if p.get("disk_cache", {}).get("dir")
-        ),
-        None,
-    )
-    out["disk_cache"] = disk
-
-    # Cache backends: two-level — per-tier counter dicts sum tier by
-    # tier, the write-behind section sums flat, the authority dir is
-    # whichever shard reports one first (they all share it).
-    backend_sections = [p.get("cache_backends", {}) for p in payloads]
-    tier_names: list[str] = []
-    for section in backend_sections:
-        for name in (section.get("tiers") or {}):
-            if name not in tier_names:
-                tier_names.append(name)
-    out["cache_backends"] = {
-        "dir": next(
-            (s.get("dir") for s in backend_sections if s.get("dir")),
-            None,
-        ),
-        "tiers": {
-            name: _sum_dicts(
-                [
-                    (s.get("tiers") or {}).get(name, {})
-                    for s in backend_sections
-                ]
-            )
-            for name in tier_names
-        },
-        "write_behind": _sum_dicts(
-            [s.get("write_behind", {}) for s in backend_sections]
-        ),
-    }
-    records = [
-        p.get("telemetry", {}).get("event_log_records") for p in payloads
-    ]
-    out["telemetry"] = {
-        "metrics_address": (
-            supervisor.gateway.address
-            if supervisor is not None and supervisor.gateway is not None
-            else None
-        ),
-        "event_log_records": (
-            sum(r for r in records if r is not None)
-            if any(r is not None for r in records)
-            else None
-        ),
-    }
-    # Per-shard breakdown: each shard's server section, annotated
-    # with that shard's load numbers.
-    out["shards"] = [
+        snapshots.insert(0, supervisor.registry.snapshot())
+        server.update(
+            address=supervisor.address,
+            shards=supervisor.config.shards,
+            shards_alive=len(supervisor.live_shards()),
+            shard_restarts=supervisor.restarts_total,
+        )
+        if supervisor.gateway is not None:
+            metrics_address = supervisor.gateway.address
+    armed = [info["faults"] for info in infos if info["faults"]["armed"]]
+    payload = stats_view(
+        merge_snapshots(snapshots),
         {
-            **p.get("server", {}),
-            "in_flight": p.get("in_flight", 0),
-            "requests_total": sum(p.get("requests", {}).values()),
-            "uptime_s": p.get("uptime_s", 0.0),
-        }
-        for p in payloads
-        if p.get("server")
-    ]
-    return out
+            "server": server,
+            "faults": armed[0] if armed else {"armed": False, "seed": None},
+            "cache_dir": next(
+                (info["cache_dir"] for info in infos if info["cache_dir"]),
+                None,
+            ),
+            "metrics_address": metrics_address,
+        },
+    )
+    payload["server"]["in_flight"] = payload["in_flight"]
+    payload["shards"] = []
+    for reply in replies:
+        shard = stats_view(reply["snapshot"], reply["info"])
+        payload["shards"].append({
+            **shard["server"],
+            "in_flight": shard["in_flight"],
+            "requests_total": sum(shard["requests"].values()),
+            "uptime_s": shard["uptime_s"],
+        })
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -557,27 +441,8 @@ class ShardSupervisor:
             },
         }
 
-    async def fleet_stats(self) -> dict[str, Any]:
-        """Aggregated ``stats`` across every reachable shard."""
-        results = await asyncio.gather(
-            *(
-                self.shard_request({"op": "stats"}, preferred=state.index)
-                for state in self.live_shards()
-            ),
-            return_exceptions=True,
-        )
-        payloads = [
-            r.get("result", {})
-            for r in results
-            if isinstance(r, dict) and r.get("ok")
-        ]
-        return aggregate_stats(payloads, supervisor=self)
-
-    async def fleet_snapshot(self) -> dict[str, Any]:
-        """Every shard's registry snapshot merged with the
-        supervisor's own (restart counters, fleet gauges)."""
-        from repro.telemetry import merge_snapshots
-
+    async def _shard_telemetry(self) -> list[dict[str, Any]]:
+        """Every reachable shard's ``telemetry`` reply, shard order."""
         results = await asyncio.gather(
             *(
                 self.shard_request(
@@ -587,13 +452,30 @@ class ShardSupervisor:
             ),
             return_exceptions=True,
         )
-        snapshots = [self.registry.snapshot()]
-        for r in results:
-            if isinstance(r, dict) and r.get("ok"):
-                snapshot = r.get("result", {}).get("snapshot")
-                if snapshot:
-                    snapshots.append(snapshot)
-        return merge_snapshots(snapshots)
+        return [
+            r["result"]
+            for r in results
+            if isinstance(r, dict)
+            and r.get("ok")
+            and (r.get("result") or {}).get("snapshot")
+        ]
+
+    async def fleet_stats(self) -> dict[str, Any]:
+        """The fleet ``stats`` payload (see :func:`fleet_stats_view`)."""
+        return fleet_stats_view(
+            await self._shard_telemetry(), supervisor=self
+        )
+
+    async def fleet_snapshot(self) -> dict[str, Any]:
+        """Every shard's registry snapshot merged with the
+        supervisor's own (restart counters, fleet gauges)."""
+        from repro.telemetry import merge_snapshots
+
+        replies = await self._shard_telemetry()
+        return merge_snapshots(
+            [self.registry.snapshot()]
+            + [reply["snapshot"] for reply in replies]
+        )
 
     def route_for_frame(self, frame: dict[str, Any]) -> int:
         """The warm-affinity shard index for one work frame."""
@@ -697,8 +579,6 @@ class FleetGateway:
         self.port = port
         self._http: asyncio.AbstractServer | None = None
         self.bound_port: int | None = None
-        #: Requests served, by path.
-        self.requests: dict[str, int] = {}
 
     async def start(self) -> None:
         self._http = await asyncio.start_server(
@@ -753,7 +633,7 @@ class FleetGateway:
         if parsed is None:
             return 400, plain, b"bad request\n", {}
         method, path, headers, body = parsed
-        self.requests[path] = self.requests.get(path, 0) + 1
+        count_http_request(self.supervisor.registry, path)
         if method == "POST":
             if path != "/v1/expand":
                 return 405, plain, b"method not allowed\n", {}

@@ -17,14 +17,14 @@ registration time (``[a-zA-Z_:][a-zA-Z0-9_:]*``; labels without the
 colon), so an invalid series name is a programming error caught by the
 first test that builds a registry, never a scrape-time surprise.
 
-The intended wiring is **pull, not push**: hot paths keep their plain
-attribute counters (``ServerMetrics``, ``WorkerPool``,
-``PersistentCache``, :class:`~repro.stats.PipelineStats`) and a
-*collector* callback registered with
-:meth:`MetricsRegistry.register_collector` mirrors them into metric
-samples at scrape time.  Telemetry that is never scraped therefore
-costs the pipeline nothing — the warm-latency budget in
-``BENCH_expansion.json`` is unaffected by construction.
+Hot paths update the registry directly (``inc``/``set``/``observe``
+where each event happens), so the registry is the one store every
+reader — ``/metrics``, the daemon's ``stats`` op, ``repro top``, the
+fleet gateway — derives its numbers from.  A *collector* callback
+registered with :meth:`MetricsRegistry.register_collector` is only for
+counters another module owns and reports elsewhere too (a cache
+backend's hit counts, the fault plan's fire counts); it copies them in
+at scrape time.
 
 **Event log** — :class:`EventLog` appends structured JSONL records
 (``{"ts": ..., "event": ..., "request_id": ..., ...}``) to a stream
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: Request-latency histogram bucket upper bounds, milliseconds — THE
-#: shared definition.  Every producer (``ServerMetrics``, the
+#: shared definition.  The producer (the daemon's
 #: ``ms2_request_latency_ms`` series) and every consumer (``repro
 #: top`` percentile math, cross-shard aggregation) uses this one
 #: constant: merging shard histograms bucket-by-bucket is only sound
@@ -171,12 +171,16 @@ class _Metric:
         self._samples: dict[tuple[str, ...], Any] = {}
 
     def _key(self, labels: Mapping[str, Any]) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name} takes labels "
-                f"{list(self.labelnames)}, got {sorted(labels)}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        # Same size and every name present means the same label set.
+        if len(labels) == len(self.labelnames):
+            try:
+                return tuple([str(labels[name]) for name in self.labelnames])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"metric {self.name} takes labels "
+            f"{list(self.labelnames)}, got {sorted(labels)}"
+        )
 
     def samples(self) -> list[tuple[dict[str, str], Any]]:
         """``(labels, value)`` pairs, insertion order."""
@@ -186,19 +190,16 @@ class _Metric:
                 for key, value in self._samples.items()
             ]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._samples.clear()
-
 
 def _copy_value(value: Any) -> Any:
     return dict(value) if isinstance(value, dict) else value
 
 
 class Counter(_Metric):
-    """A monotonically increasing total.  ``set_total`` exists for
-    collectors that mirror an externally-owned counter; it must never
-    be used to decrease a series."""
+    """A monotonically increasing total.  ``set_total`` exists only
+    for collectors copying a counter another module owns (a cache
+    backend's hits, the fault plan's fire counts); it must never be
+    used to decrease a series."""
 
     kind = "counter"
 
@@ -210,7 +211,7 @@ class Counter(_Metric):
             self._samples[key] = self._samples.get(key, 0.0) + amount
 
     def set_total(self, value: float, **labels: Any) -> None:
-        """Mirror an absolute total maintained elsewhere (collector
+        """Copy an absolute total owned by another module (collector
         use; scrape-time overwrite, not an increment)."""
         key = self._key(labels)
         with self._lock:
@@ -263,6 +264,9 @@ class Histogram(_Metric):
         if bounds and bounds[-1] == float("inf"):
             bounds = bounds[:-1]
         self.buckets = bounds
+        if not self.labelnames:
+            # Renders (all zero) from the first scrape.
+            self._samples[()] = self._blank()
 
     def _blank(self) -> dict[str, Any]:
         return {
@@ -284,30 +288,6 @@ class Histogram(_Metric):
             sample["sum"] += value
             sample["count"] += 1
 
-    def load(
-        self,
-        counts: Sequence[int],
-        total: float,
-        count: int,
-        **labels: Any,
-    ) -> None:
-        """Mirror an externally-maintained histogram (collector use):
-        per-bucket counts (``len(buckets) + 1`` entries, the last one
-        the overflow bucket), the sum of observations, and their
-        number."""
-        if len(counts) != len(self.buckets) + 1:
-            raise ValueError(
-                f"histogram {self.name} expects "
-                f"{len(self.buckets) + 1} bucket counts, got {len(counts)}"
-            )
-        key = self._key(labels)
-        with self._lock:
-            self._samples[key] = {
-                "counts": [int(c) for c in counts],
-                "sum": float(total),
-                "count": int(count),
-            }
-
 
 # ---------------------------------------------------------------------------
 # Registry
@@ -318,8 +298,8 @@ class MetricsRegistry:
     """A named set of metrics plus the collectors that refresh them.
 
     ``render_prometheus()`` and ``snapshot()`` first run every
-    registered collector, so mirrored series are current at scrape
-    time without any hot-path bookkeeping.
+    registered collector, so series copied from other modules are
+    current at scrape time.
     """
 
     def __init__(self) -> None:
@@ -388,7 +368,7 @@ class MetricsRegistry:
         self, collector: Callable[["MetricsRegistry"], None]
     ) -> None:
         """``collector(registry)`` runs before every render/snapshot;
-        use it to mirror externally-owned counters into samples."""
+        use it to copy counters other modules own into samples."""
         self._collectors.append(collector)
 
     # -- introspection --------------------------------------------------
@@ -402,7 +382,7 @@ class MetricsRegistry:
             return self._metrics.get(name)
 
     def collect(self) -> None:
-        """Run every collector (refresh mirrored samples)."""
+        """Run every collector (refresh copied samples)."""
         for collector in self._collectors:
             collector(self)
 

@@ -34,6 +34,12 @@ def _poll(condition, timeout=10.0, interval=0.02):
         time.sleep(interval)
 
 
+def _stats(handle) -> dict:
+    """The daemon's ``stats`` op payload, over a fresh connection."""
+    with handle.client() as client:
+        return client.stats()
+
+
 # ---------------------------------------------------------------------------
 # Malformed and oversized frames
 # ---------------------------------------------------------------------------
@@ -88,7 +94,7 @@ def test_oversized_frame_is_rejected_and_connection_closed(
     # ...but keeps serving new ones.
     with handle.client() as client:
         assert client.ping()["pong"] is True
-    assert handle.server.metrics.bad_frames == 1
+    assert _stats(handle)["bad_frames"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +114,10 @@ def test_client_disconnect_mid_expansion(server):
         ).encode() + b"\n"
     )
     # Wait until the request is genuinely in flight, then vanish.
-    _poll(lambda: server.server.metrics.in_flight == 1)
+    _poll(lambda: _stats(server)["in_flight"] == 1)
     sock.close()
     # The abandoned expansion finishes and unwinds cleanly...
-    _poll(lambda: server.server.metrics.in_flight == 0, timeout=30)
+    _poll(lambda: _stats(server)["in_flight"] == 0, timeout=30)
     # ...and the daemon keeps serving.
     with server.client() as client:
         assert client.expand("int x = 1;").ok
@@ -135,7 +141,7 @@ def test_busy_rejection_beyond_the_bounded_queue(server_factory):
 
     worker = threading.Thread(target=run_slow)
     worker.start()
-    _poll(lambda: handle.server.metrics.in_flight == 1)
+    _poll(lambda: _stats(handle)["in_flight"] == 1)
     with handle.client() as client:
         with pytest.raises(Ms2ServerError) as excinfo:
             client.expand("int x = 1;")
@@ -250,7 +256,7 @@ def test_two_clients_with_different_options_hash(server):
     assert outputs["plain"] != outputs["annotated"]
     assert "Log" in outputs["annotated"], "provenance annotations"
     # Both pool keys now hold warm spares.
-    idle = server.server.pool.idle_counts()
+    idle = _stats(server)["workers"]["idle"]
     assert len(idle) >= 2
 
 

@@ -5,10 +5,16 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import time
 
 import pytest
 
-from tests.telemetry.test_registry import assert_valid_exposition
+from repro.options import Ms2Options
+from tests.telemetry.test_registry import (
+    assert_valid_exposition,
+    exposition_samples,
+)
 
 PROGRAM = (
     "syntax stmt Twice {| $$stmt::body |} "
@@ -59,27 +65,221 @@ def test_metrics_endpoint_serves_valid_exposition(telemetry_server):
     assert 'ms2_server_info{version="' in text
 
 
-def test_metrics_agree_with_stats_op(telemetry_server):
-    """The Prometheus series and the NDJSON ``stats`` op read the
-    same counters."""
-    with telemetry_server.client() as client:
+# ---------------------------------------------------------------------------
+# Agreement: every counter in the stats payload against /metrics
+# ---------------------------------------------------------------------------
+
+#: Scalar counters of the stats payload -> their /metrics series.
+STATS_SERIES = {
+    ("busy_rejections",): "ms2_busy_rejections_total",
+    ("shed_rejections",): "ms2_load_shed_total",
+    ("bad_frames",): "ms2_bad_frames_total",
+    ("client_disconnects",): "ms2_client_disconnects_total",
+    ("in_flight",): "ms2_in_flight",
+    ("peak_in_flight",): "ms2_peak_in_flight",
+    ("connections_open",): "ms2_connections_open",
+    ("connections_total",): "ms2_connections_total",
+    ("latency_ms", "count"): "ms2_request_latency_ms_count",
+    ("expansion_cache", "hits"):
+        'ms2_expansion_cache_lookups_total{result="hit"}',
+    ("expansion_cache", "misses"):
+        'ms2_expansion_cache_lookups_total{result="miss"}',
+    ("workers", "warm_hits"): "ms2_worker_pool_warm_hits_total",
+    ("workers", "cold_builds"): "ms2_worker_pool_cold_builds_total",
+    ("workers", "spares"): "ms2_worker_pool_spares",
+    ("workers", "replenishes"): "ms2_worker_pool_replenishes_total",
+    ("workers", "replenish_ms"): "ms2_worker_pool_replenish_ms_total",
+    ("workers", "prewarms"): "ms2_worker_pool_prewarms_total",
+    ("workers", "replenish_failures"):
+        "ms2_worker_pool_replenish_failures_total",
+    ("resilience", "worker_restarts"): "ms2_build_worker_restarts_total",
+    ("resilience", "replenish_failures"):
+        "ms2_worker_pool_replenish_failures_total",
+    ("resilience", "eventlog_errors"): "ms2_eventlog_errors_total",
+    ("resilience", "client_retries"): "ms2_client_retries_total",
+    ("resilience", "client_fallbacks"): "ms2_client_fallbacks_total",
+    ("cache_backends", "write_behind", "depth"):
+        "ms2_cache_backend_write_behind_depth",
+    ("cache_backends", "write_behind", "dropped"):
+        "ms2_cache_backend_write_behind_dropped_total",
+    ("telemetry", "event_log_records"): "ms2_event_log_records_total",
+}
+
+#: Labeled sections of the stats payload -> (family, label).
+STATS_FAMILIES = {
+    ("requests",): ("ms2_requests_total", "op"),
+    ("responses",): ("ms2_responses_total", "status"),
+    ("error_codes",): ("ms2_response_errors_total", "code"),
+    ("workers", "idle"): ("ms2_worker_pool_idle", "pool"),
+    ("faults", "injected"): ("ms2_faults_injected_total", "site"),
+}
+
+#: Numeric stats fields that are not counters: derived ratios and
+#: means, the wall clock, the fault seed and the server section.
+NOT_COUNTERS = {
+    ("uptime_s",),
+    ("latency_ms", "mean"),
+    ("expansion_cache", "hit_rate"),
+    ("pipeline", "cache_hit_rate"),
+    ("faults", "seed"),
+}
+
+_CACHE_RESULTS = {
+    "cache_hits": "hit",
+    "cache_misses": "miss",
+    "cache_uncacheable": "uncacheable",
+}
+
+
+def _cache_series(tier: str, kind: str) -> str:
+    if kind in ("load_ms", "store_ms"):
+        return f'ms2_cache_backend_{kind}_total{{tier="{tier}"}}'
+    return f'ms2_cache_backend_ops_total{{tier="{tier}",kind="{kind}"}}'
+
+
+def _series_for(path: tuple) -> str | None:
+    """The /metrics series that carries one numeric stats leaf."""
+    if path in STATS_SERIES:
+        return STATS_SERIES[path]
+    if path[:-1] in STATS_FAMILIES:
+        family, label = STATS_FAMILIES[path[:-1]]
+        return f'{family}{{{label}="{path[-1]}"}}'
+    head = path[0]
+    if head == "pipeline" and len(path) == 2:
+        if path[1] in _CACHE_RESULTS:
+            return (
+                "ms2_expansion_cache_lookups_total"
+                f'{{result="{_CACHE_RESULTS[path[1]]}"}}'
+            )
+        return f"ms2_{path[1]}_total"
+    if head == "pipeline" and path[1] == "phases":
+        return f'ms2_pipeline_phase_{path[3]}_total{{phase="{path[2]}"}}'
+    if head == "disk_cache":
+        return _cache_series("local", path[1])
+    if path[:2] == ("cache_backends", "tiers"):
+        return _cache_series(path[2], path[3])
+    return None
+
+
+def _numeric_leaves(payload, path=()):
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(payload, (int, float)) and not isinstance(
+        payload, bool
+    ):
+        yield path, payload
+
+
+#: Counters a fleet scrape itself moves: the gateway sends every
+#: shard a ``telemetry`` request over a fresh control connection.
+FLEET_SCRAPE_COUNTERS = frozenset({
+    "requests.telemetry", "responses.ok",
+    "connections_total", "connections_open",
+})
+
+
+def stats_metrics_mismatches(
+    stats: dict, exposition: str, ignore=frozenset()
+) -> list[str]:
+    """Every counter in a ``stats`` payload that its ``/metrics``
+    series does not match, plus numeric stats fields that map to no
+    series at all (empty when the two views agree).  ``ignore``
+    names dotted stats paths to skip."""
+    samples = exposition_samples(exposition)
+    problems = []
+    for path, value in _numeric_leaves(stats):
+        if path in NOT_COUNTERS or path[0] == "server":
+            continue
+        if ".".join(path) in ignore:
+            continue
+        if path[:2] == ("latency_ms", "buckets"):
+            continue  # checked cumulatively below
+        series = _series_for(path)
+        if series is None:
+            problems.append(f"{'.'.join(path)}: no /metrics series")
+        elif series not in samples:
+            problems.append(f"{'.'.join(path)}: {series} missing")
+        elif samples[series] != pytest.approx(value, abs=2e-3):
+            problems.append(
+                f"{'.'.join(path)} = {value} but {series} = "
+                f"{samples[series]}"
+            )
+    buckets = stats.get("latency_ms", {}).get("buckets", {})
+    cumulative = 0
+    for bound in sorted(buckets, key=lambda b: float(b)):
+        cumulative += buckets[bound]
+        series = f'ms2_request_latency_ms_bucket{{le="{bound}"}}'
+        if samples.get(series) != cumulative:
+            problems.append(
+                f"latency bucket {bound}: {cumulative} cumulative but "
+                f"{series} = {samples.get(series)}"
+            )
+    return problems
+
+
+def settled_scrape(get, ignore=frozenset(), timeout=10.0):
+    """``(stats, exposition, mismatches)`` from the first
+    ``/statusz`` + ``/metrics`` pair that agrees, or the last pair
+    read once ``timeout`` passes.  ``get(path)`` returns a response
+    body as text.  Retrying lets off-path spare rebuilds, which can
+    land between the two reads, settle."""
+    deadline = time.monotonic() + timeout
+    while True:
+        stats = json.loads(get("/statusz"))
+        exposition = get("/metrics")
+        problems = stats_metrics_mismatches(stats, exposition, ignore)
+        if not problems or time.monotonic() > deadline:
+            return stats, exposition, problems
+        time.sleep(0.1)
+
+
+def test_metrics_agree_with_stats_op(server_factory, tmp_path):
+    """Every counter the ``stats`` payload reports (served here as
+    ``/statusz``, which scraping does not perturb) equals its
+    Prometheus series: one store, two renderings."""
+    handle = server_factory(
+        metrics_port=0,
+        cache_dir=tmp_path / "cache",
+        event_log=tmp_path / "events.jsonl",
+    )
+    unit = tmp_path / "unit.c"
+    unit.write_text(PROGRAM)
+    with handle.client() as client:
         for _ in range(3):
             client.expand(PROGRAM, "prog.c")
-        stats = client.stats()
-    _, _, body = _get(telemetry_server, "/metrics")
-    samples = assert_valid_exposition(body.decode("utf-8"))
-    assert samples["ms2_expansions_total"] == (
-        stats["pipeline"]["expansions"]
+        client.expand(PROGRAM, "prof.c", options=Ms2Options(profile=True))
+        client.expand_file(unit)
+        client.expand_file(unit)
+        client.request({"op": "expand"})  # no source: bad_request
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.connect(str(handle.socket_path))
+    sock.sendall(b"not json\n")
+    sock.makefile("rb").readline()
+    sock.close()
+
+    stats, _, problems = settled_scrape(
+        lambda path: _get(handle, path)[2].decode("utf-8")
     )
-    assert samples["ms2_request_latency_ms_count"] == (
-        stats["latency_ms"]["count"]
-    )
-    assert samples["ms2_worker_pool_warm_hits_total"] == (
-        stats["workers"]["warm_hits"]
-    )
-    assert samples["ms2_busy_rejections_total"] == (
-        stats["busy_rejections"]
-    )
+    assert problems == []
+    # The workload reached the counters the table covers.
+    assert stats["pipeline"]["expansions"] >= 4
+    assert stats["pipeline"]["phases"]
+    assert stats["disk_cache"]["hits"] == 1
+    # The op-less request and the malformed frame.
+    assert stats["error_codes"] == {"bad_request": 2}
+    assert stats["bad_frames"] == 1
+    assert stats["telemetry"]["event_log_records"] > 0
+
+
+def test_agreement_table_flags_unmapped_and_drifted_counters():
+    """The agreement check fails loudly on a stats field with no
+    series and on a value that disagrees."""
+    stats = {"busy_rejections": 2, "brand_new_counter": 1}
+    exposition = "ms2_busy_rejections_total 3\n"
+    problems = stats_metrics_mismatches(stats, exposition)
+    assert any("brand_new_counter" in p for p in problems)
+    assert any("busy_rejections = 2" in p for p in problems)
 
 
 def test_resilience_series_present_and_zero_at_rest(telemetry_server):
@@ -145,13 +345,40 @@ def test_unknown_path_404_and_post_405(telemetry_server):
         conn.close()
 
 
+def _route_counts(handle) -> dict[str, float]:
+    _, _, body = _get(handle, "/metrics")
+    prefix = 'ms2_http_requests_total{route="'
+    return {
+        series[len(prefix):-2]: value
+        for series, value in exposition_samples(
+            body.decode("utf-8")
+        ).items()
+        if series.startswith(prefix)
+    }
+
+
 def test_sidecar_counts_requests_in_statusz_stats(telemetry_server):
     _get(telemetry_server, "/metrics")
     _get(telemetry_server, "/metrics")
     _get(telemetry_server, "/healthz")
-    requests = telemetry_server.server.sidecar.requests
-    assert requests["/metrics"] >= 2
-    assert requests["/healthz"] >= 1
+    routes = _route_counts(telemetry_server)
+    assert routes["/metrics"] >= 2
+    assert routes["/healthz"] >= 1
+
+
+def test_junk_paths_share_one_other_series(telemetry_server):
+    """Distinct unknown paths cannot grow the series set: they all
+    count under ``route="other"``."""
+    before = _route_counts(telemetry_server)
+    for index in range(50):
+        status, _, _ = _get(telemetry_server, f"/junk-{index}")
+        assert status == 404
+    after = _route_counts(telemetry_server)
+    assert set(after) - set(before) == {"other"}
+    assert after["other"] == 50
+    assert set(after) <= {
+        "/metrics", "/healthz", "/statusz", "/v1/expand", "other",
+    }
 
 
 def test_run_top_polls_a_live_daemon(telemetry_server, tmp_path):

@@ -25,11 +25,13 @@ from repro.options import Ms2Options
 from repro.serveconfig import ServeConfig
 from repro.shard import (
     ShardSupervisor,
-    aggregate_stats,
+    fleet_stats_view,
     shard_for_options_hash,
 )
+from tests.telemetry.test_registry import exposition_samples
 
 from .conftest import DOUBLER, doubler_program
+from .test_metrics_http import FLEET_SCRAPE_COUNTERS, settled_scrape
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "SO_REUSEPORT"),
@@ -328,6 +330,24 @@ def test_fleet_metrics_and_statusz_aggregate(fleet_factory) -> None:
     assert fleet_requests >= 6
     for shard_entry in payload["shards"]:
         assert shard_entry["requests_total"] <= fleet_requests
+    # Both fleet views come from one merge of the shard registries:
+    # every counter agrees except those the scrapes themselves move.
+    def get(path: str) -> str:
+        with urllib.request.urlopen(f"{url}{path}") as response:
+            return response.read().decode()
+
+    payload, metrics, problems = settled_scrape(
+        get, ignore=FLEET_SCRAPE_COUNTERS
+    )
+    assert problems == []
+    samples = exposition_samples(metrics)
+    assert samples['ms2_requests_total{op="expand"}'] == (
+        payload["requests"]["expand"]
+    )
+    assert samples["ms2_peak_in_flight"] == payload["peak_in_flight"]
+    assert samples["ms2_request_latency_ms_count"] == (
+        payload["latency_ms"]["count"]
+    )
 
     with urllib.request.urlopen(f"{url}/healthz") as response:
         assert response.read() == b"ok\n"
@@ -363,63 +383,88 @@ def test_shard_affinity_is_stable_and_in_range() -> None:
     assert shard_for_options_hash("zzz", 4) == 0  # not hex: shard 0
 
 
-def test_aggregate_stats_sums_and_merges() -> None:
-    shard0 = {
-        "uptime_s": 10.0,
-        "requests": {"expand": 3, "ping": 1},
-        "responses": {"ok": 4},
-        "error_codes": {},
-        "busy_rejections": 1,
-        "in_flight": 1,
-        "latency_ms": {
-            "count": 2,
-            "mean": 4.0,
-            "buckets": {"5": 2, "+Inf": 0},
-        },
-        "expansion_cache": {"hits": 2, "misses": 2},
-        "server": {"shard": 0, "pid": 11, "version": "x"},
-        "workers": {"warm_hits": 2, "idle": {"k": 1}},
-        "resilience": {"worker_restarts": 1},
-        "faults": {"armed": False, "seed": None, "injected": {}},
-        "disk_cache": {"dir": "/c", "hits": 1},
-        "telemetry": {"event_log_records": 5},
-    }
-    shard1 = {
-        "uptime_s": 8.0,
-        "requests": {"expand": 5},
-        "responses": {"ok": 5},
-        "error_codes": {"busy": 1},
-        "busy_rejections": 2,
-        "in_flight": 0,
-        "latency_ms": {
-            "count": 4,
-            "mean": 2.0,
-            "buckets": {"5": 3, "+Inf": 1},
-        },
-        "expansion_cache": {"hits": 0, "misses": 4},
-        "server": {"shard": 1, "pid": 12, "version": "x"},
-        "workers": {"warm_hits": 4, "idle": {"k": 2}},
-        "resilience": {"worker_restarts": 0},
-        "faults": {"armed": True, "seed": 9, "injected": {"s": 2}},
-        "disk_cache": {"hits": 2},
-        "telemetry": {"event_log_records": 7},
-    }
-    merged = aggregate_stats([shard0, shard1])
-    assert merged["uptime_s"] == 10.0
+def _shard_reply(index: int, latencies, peak: int, active: int,
+                 requests: dict[str, int], busy: int, hits: int,
+                 misses: int, events: int, injected=None) -> dict:
+    """One shard's ``telemetry`` reply, from a real (unstarted)
+    daemon whose registry saw the given traffic."""
+    import io
+
+    from repro.server import Ms2Server
+    from repro.stats import PipelineStats
+
+    server = Ms2Server(
+        port=0, warm_spares=2, shard_index=index, event_log=io.StringIO()
+    )
+    try:
+        for op, n in requests.items():
+            server.registry.get("ms2_requests_total").inc(n, op=op)
+        server.registry.get("ms2_busy_rejections_total").inc(busy)
+        for _ in range(peak):
+            server._admit(1)
+        for _ in range(peak - active):
+            server._admit(-1)
+        for ms in latencies:
+            server.registry.get("ms2_request_latency_ms").observe(ms)
+        server._count_pipeline(
+            PipelineStats(cache_hits=hits, cache_misses=misses)
+        )
+        for _ in range(events):
+            server.event_log.log("request")
+        for site, fired in (injected or {}).items():
+            server.registry.get("ms2_faults_injected_total").inc(
+                fired, site=site
+            )
+        return server.telemetry_payload()
+    finally:
+        server._executor.shutdown(wait=False)
+
+
+def test_fleet_stats_view_sums_and_merges() -> None:
+    """The fleet view is the single-daemon view over merged
+    snapshots: counters sum, buckets merge, the latency mean comes
+    from the merged sum and count, peaks and configured sizes take
+    the maximum (not the sum), and per-shard rows keep shard order."""
+    shard0 = _shard_reply(
+        0, latencies=[3.0, 5.0], peak=3, active=1,
+        requests={"expand": 3, "ping": 1}, busy=1, hits=2, misses=2,
+        events=5,
+    )
+    shard1 = _shard_reply(
+        1, latencies=[0.5, 0.5, 2.0, 6000.0], peak=2, active=0,
+        requests={"expand": 5}, busy=2, hits=0, misses=4, events=7,
+        injected={"s": 2},
+    )
+    shard1["info"]["faults"] = {"armed": True, "seed": 9}
+
+    merged = fleet_stats_view([shard0, shard1])
     assert merged["requests"] == {"expand": 8, "ping": 1}
     assert merged["busy_rejections"] == 3
     assert merged["in_flight"] == 1
-    assert merged["latency_ms"]["count"] == 6
-    # 2 * 4.0 + 4 * 2.0 = 16 over 6 observations, not mean-of-means.
-    assert merged["latency_ms"]["mean"] == pytest.approx(16 / 6, abs=1e-3)
-    assert merged["latency_ms"]["buckets"] == {"5": 5, "+Inf": 1}
+    assert merged["server"]["in_flight"] == 1
+    assert merged["peak_in_flight"] == 3  # the fleet peak, not 3 + 2
+    assert merged["workers"]["spares"] == 2  # per-shard size, not 4
+    latency = merged["latency_ms"]
+    assert latency["count"] == 6
+    # The merged sum over the merged count, not a mean of means.
+    assert latency["mean"] == pytest.approx(
+        (3.0 + 5.0 + 0.5 + 0.5 + 2.0 + 6000.0) / 6, abs=1e-3
+    )
+    assert {k: v for k, v in latency["buckets"].items() if v} == {
+        "1": 2, "2": 1, "5": 2, "+Inf": 1,
+    }
     assert merged["expansion_cache"]["hits"] == 2
     assert merged["expansion_cache"]["hit_rate"] == pytest.approx(0.25)
     assert merged["faults"]["armed"] is True
     assert merged["faults"]["seed"] == 9
     assert merged["faults"]["injected"] == {"s": 2}
     assert merged["telemetry"]["event_log_records"] == 12
+    assert merged["server"]["shard"] is None
     assert [entry["shard"] for entry in merged["shards"]] == [0, 1]
+    assert [entry["requests_total"] for entry in merged["shards"]] == [
+        4, 5,
+    ]
+    assert [entry["in_flight"] for entry in merged["shards"]] == [1, 0]
 
 
 def test_load_tiers_on_an_unstarted_server(tmp_path) -> None:

@@ -49,6 +49,17 @@ def assert_valid_exposition(text: str) -> dict[str, float]:
     return samples
 
 
+def exposition_samples(text: str) -> dict[str, float]:
+    """Every sample of an exposition, labeled or not, keyed
+    ``name{labels}`` exactly as rendered."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            series, _, value = line.rpartition(" ")
+            samples[series] = float(value.replace("+Inf", "inf"))
+    return samples
+
+
 # ---------------------------------------------------------------------------
 # Names
 # ---------------------------------------------------------------------------
@@ -164,14 +175,36 @@ def test_histogram_observe_renders_cumulative_buckets():
     assert_valid_exposition(text)
 
 
-def test_histogram_load_mirrors_external_counts():
+def test_concurrent_updates_lose_nothing():
+    """The daemon's event loop and executor threads update one
+    registry; every increment and observation must land."""
+    import sys
+    import threading
+
     reg = MetricsRegistry()
+    c = reg.counter("ms2_hits_total", labelnames=("op",))
     h = reg.histogram("ms2_latency_ms", buckets=(1.0, 10.0))
-    h.load([1, 2, 3], 60.0, 6)
-    with pytest.raises(ValueError):
-        h.load([1, 2], 1.0, 1)  # wrong arity
+    workers, rounds = 8, 2000
+
+    def work():
+        for _ in range(rounds):
+            c.inc(op="expand")
+            h.observe(5.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     text = reg.render_prometheus()
-    assert 'ms2_latency_ms_bucket{le="+Inf"} 6' in text
+    assert f'ms2_hits_total{{op="expand"}} {workers * rounds}' in text
+    assert f"ms2_latency_ms_count {workers * rounds}" in text
 
 
 def test_histogram_buckets_must_be_sorted_unique():
