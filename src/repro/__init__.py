@@ -34,7 +34,7 @@ from repro.cast.printer import render_c
 from repro.cast.sexpr import render_sexpr
 from repro.diagnostics import Diagnostic, DiagnosticSink, ExpansionBudget
 from repro.engine import MacroProcessor, expand_source
-from repro.options import ExpandResult, Ms2DeprecationWarning, Ms2Options
+from repro.options import ExpandResult, Ms2Options
 from repro.provenance import ExpandedLocation, ExpansionSite
 from repro.trace import ExpansionSpan, PhaseProfiler, Tracer
 from repro.errors import (
@@ -66,7 +66,6 @@ __all__ = [
     "ResourceLimitError",
     "LexError",
     "MacroProcessor",
-    "Ms2DeprecationWarning",
     "Ms2Options",
     "MacroSyntaxError",
     "MacroTypeError",

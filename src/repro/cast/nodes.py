@@ -315,7 +315,7 @@ class MacroInvocation(Node):
 class ErrorExpr(Node):
     """A poisoned expression standing where parsing or expansion failed.
 
-    Produced only in recovery mode (``expand_program(recover=True)``).
+    Produced only in recovery mode (``Ms2Options(recover=True)``).
     Type inference treats it as ``any`` so one fault does not cascade
     into follow-on diagnostics; the printer renders it as a comment.
     """

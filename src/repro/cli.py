@@ -541,7 +541,7 @@ def _cmd_expand_local(args: argparse.Namespace) -> int:
     if args.stats:
         print(mp.stats.summary(), file=sys.stderr)
     if args.stats_json:
-        print(json.dumps(mp.stats.as_dict()), file=sys.stderr)
+        print(json.dumps(mp.stats.to_json()), file=sys.stderr)
     if options.profile:
         print(mp.stats.profile_summary(), file=sys.stderr)
     return 0 if result.ok else 1
@@ -725,7 +725,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.out_dir is not None:
         write_outputs(report, args.out_dir)
     if args.report == "json":
-        print(json.dumps(report.as_dict(), indent=2))
+        print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.render())
     for result in report.results:

@@ -1,13 +1,10 @@
 """The unified configuration surface of the snapshot cache.
 
-Historically the persistent cache was configured with a lone
-``BuildSession(cache_dir=...)`` keyword; a distributed cache needs
-more knobs (the remote authority's address, the write-behind queue
-depth, the remote timeout, the fail-open switch), and scattering them
-as keyword arguments would repeat the sprawl
-:class:`~repro.options.Ms2Options` and
-:class:`~repro.serveconfig.ServeConfig` were built to end.
-:class:`CacheConfig` is their sibling for the cache layer:
+A distributed cache has several knobs (the local directory, the
+remote authority's address, the write-behind queue depth, the remote
+timeout, the fail-open switch).  :class:`CacheConfig` holds them all,
+as the sibling of :class:`~repro.options.Ms2Options` and
+:class:`~repro.serveconfig.ServeConfig` for the cache layer:
 
 - the **single source of defaults** — ``repro build``'s
   ``--cache-dir`` / ``--remote-cache`` argparse defaults and the
@@ -20,12 +17,6 @@ as keyword arguments would repeat the sprawl
   address or a negative queue depth fails before the first build,
 - the **backend factory** (:meth:`CacheConfig.build_backend`): the
   one place the local / remote / tiered composition is decided.
-
-The legacy ``BuildSession(cache_dir=..., use_disk_cache=...)``
-keyword arguments keep working through
-:meth:`CacheConfig.from_legacy_kwargs`, which emits one
-:class:`~repro.options.Ms2DeprecationWarning` per call — exactly the
-``ServeConfig`` shim pattern.
 """
 
 from __future__ import annotations
@@ -36,7 +27,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.driver.diskcache import DEFAULT_CACHE_DIR
-from repro.options import warn_legacy
 
 __all__ = [
     "CACHE_FIELDS",
@@ -170,49 +160,11 @@ class CacheConfig:
             kwargs[name] = _check_field(name, data[name])
         return cls(**kwargs)
 
-    # ------------------------------------------------------------------
-    # Legacy-kwargs shim
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_legacy_kwargs(cls, **legacy: Any) -> "CacheConfig":
-        """Fold the legacy ``BuildSession`` cache keyword arguments
-        into a config value, emitting one
-        :class:`~repro.options.Ms2DeprecationWarning` per call.
-
-        ``cache_dir=PATH`` maps to ``local_dir`` (``None`` disables
-        the local tier, as it always did); ``use_disk_cache=False``
-        disables caching outright.
-        """
-        unknown = set(legacy) - _LEGACY_FIELDS
-        if unknown:
-            raise TypeError(
-                f"unknown cache option(s): {sorted(unknown)}"
-            )
-        warn_legacy(
-            f"passing {', '.join(sorted(legacy))} as BuildSession "
-            "keyword argument(s)",
-            "CacheConfig",
-        )
-        kwargs: dict[str, Any] = {}
-        if "cache_dir" in legacy:
-            value = legacy.pop("cache_dir")
-            kwargs["local_dir"] = (
-                str(value) if value is not None else None
-            )
-        if not legacy.pop("use_disk_cache", True):
-            kwargs["local_dir"] = None
-            kwargs["remote"] = None
-        return cls(**kwargs)
-
 
 #: Every field name of :class:`CacheConfig`, declaration order.
 CACHE_FIELDS: tuple[str, ...] = tuple(
     f.name for f in dataclasses.fields(CacheConfig)
 )
-
-#: The cache keyword arguments the legacy ``BuildSession`` took.
-_LEGACY_FIELDS = frozenset({"cache_dir", "use_disk_cache"})
 
 _DEFAULTS = None  # populated lazily below (needs the class finalized)
 

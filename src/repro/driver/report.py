@@ -81,9 +81,6 @@ class FileResult:
             "error_type": self.error_type,
         }
 
-    #: Legacy spelling of :meth:`to_json`.
-    as_dict = to_json
-
 
 @dataclass(slots=True)
 class BuildReport:
@@ -160,9 +157,6 @@ class BuildReport:
             "stats": self.aggregate_stats().to_json(),
             "results": [result.to_json() for result in self.results],
         }
-
-    #: Legacy spelling of :meth:`to_json`.
-    as_dict = to_json
 
     def render(self) -> str:
         """Human-readable batch summary (the default CLI output)."""

@@ -60,10 +60,6 @@ SOURCE_SUFFIXES = (".c", ".ms2")
 #: pressure, and an immediate respawn just reproduces it).
 _RESTART_BACKOFF_S = 0.05
 
-#: Distinguishes "cache left to its default" from an explicit
-#: ``cache=None`` (which disables caching).
-_UNSET_CACHE: Any = object()
-
 
 def resolve_inputs(paths: Iterable[Path | str]) -> list[Path]:
     """Expand the CLI's ``<dir|files...>`` arguments into a sorted,
@@ -218,10 +214,6 @@ class BuildSession:
         ready :class:`~repro.driver.cachebackend.CacheBackend`
         instance, or ``None`` to disable caching.  Omitted, it
         defaults to ``CacheConfig()`` — a local ``.ms2-cache/``.
-        The legacy ``cache_dir=`` / ``use_disk_cache=`` keywords
-        keep working through
-        :meth:`~repro.driver.cacheconfig.CacheConfig.from_legacy_kwargs`
-        (one :class:`~repro.options.Ms2DeprecationWarning`).
     incremental:
         When True (default), files whose (source, macros, options)
         key has a usable snapshot are served from the cache without
@@ -243,10 +235,9 @@ class BuildSession:
         package_names: Sequence[str] = (),
         package_sources: Sequence[tuple[str, str]] = (),
         jobs: int = 1,
-        cache: Any = _UNSET_CACHE,
+        cache: Any = CacheConfig(),
         incremental: bool = True,
         retries: int = 2,
-        **legacy: Any,
     ) -> None:
         base = options if options is not None else Ms2Options()
         self.options = base.without_runtime_hooks()
@@ -259,9 +250,7 @@ class BuildSession:
         self.retries = max(0, int(retries))
         #: Pools rebuilt after a worker process died mid-batch.
         self.worker_restarts = 0
-        self.cache_config, self.cache = self._resolve_cache(
-            cache, legacy
-        )
+        self.cache_config, self.cache = self._resolve_cache(cache)
         self.macro_hash = self._macro_hash()
         self._config = _WorkerConfig(
             package_names=self.package_names,
@@ -270,22 +259,8 @@ class BuildSession:
         )
 
     @staticmethod
-    def _resolve_cache(
-        cache: Any, legacy: dict[str, Any]
-    ) -> tuple[CacheConfig | None, Any]:
-        """(config, backend) from the ``cache=`` argument or the
-        legacy ``cache_dir=`` / ``use_disk_cache=`` keywords."""
-        if legacy:
-            if cache is not _UNSET_CACHE:
-                raise TypeError(
-                    "BuildSession takes either cache=... or the "
-                    "legacy cache keyword arguments, not both"
-                )
-            config = CacheConfig.from_legacy_kwargs(**legacy)
-            return config, config.build_backend()
-        if cache is _UNSET_CACHE:
-            config = CacheConfig()
-            return config, config.build_backend()
+    def _resolve_cache(cache: Any) -> tuple[CacheConfig | None, Any]:
+        """(config, backend) from the ``cache=`` argument."""
         if cache is None:
             return None, None
         if isinstance(cache, CacheConfig):

@@ -28,32 +28,21 @@ output contains no ``syntax`` / ``metadcl`` items.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.analysis import analyze_macro_purity
 from repro.cast import decls, nodes
 from repro.cast.base import Node
 from repro.cast.printer import render_c
-from repro.diagnostics import (
-    Diagnostic,
-    DiagnosticSink,
-    ExpansionBudget,
-)
+from repro.diagnostics import Diagnostic, DiagnosticSink
 from repro.errors import ExpansionError, Ms2Error, ResourceLimitError
 from repro.macros.cache import ExpansionCache
 from repro.macros.compiled import compile_pattern
 from repro.macros.definition import MacroDefinition, MacroTable
 from repro.macros.expander import Expander
 from repro.meta.interp import Interpreter
-from repro.options import ExpandResult, Ms2Options, warn_legacy
+from repro.options import ExpandResult, Ms2Options
 from repro.parser.core import Parser
 from repro.stats import PipelineStats
 from repro.trace import PhaseProfiler, Tracer
-
-#: Sentinel distinguishing "not passed" from an explicit None/False in
-#: the legacy per-call keyword shims.
-_UNSET: Any = object()
-
 
 class MacroProcessor:
     """A complete MS2 macro-processing pipeline.
@@ -68,24 +57,9 @@ class MacroProcessor:
     the library all construct one, and its
     :meth:`~repro.options.Ms2Options.options_hash` keys the driver's
     incremental rebuilds.
-
-    The historical keyword arguments (``hygienic=``, ``cache=``,
-    ``trace=``, ``budget=``, ...) still work as a thin shim that
-    forwards into :class:`Ms2Options` and emits
-    :class:`~repro.options.Ms2DeprecationWarning`.
     """
 
-    def __init__(
-        self,
-        options: Ms2Options | None = None,
-        *,
-        budget: ExpansionBudget | None = None,
-        **legacy: Any,
-    ) -> None:
-        if budget is not None or legacy:
-            options = Ms2Options.from_legacy_kwargs(
-                options, budget=budget, **legacy
-            )
+    def __init__(self, options: Ms2Options | None = None) -> None:
         if options is None:
             options = Ms2Options()
         #: The session's frozen configuration.
@@ -115,13 +89,9 @@ class MacroProcessor:
         # expansion cache is forced off.
         use_cache = options.cache and not options.hygienic
         self.cache = ExpansionCache(self.stats) if use_cache else None
-        #: Optional resource budget shared by every expansion run
-        #: (the legacy ``budget=`` instance when one was supplied, so
-        #: callers can observe its counters; otherwise built from the
-        #: options' budget fields).
-        self.budget = (
-            budget if budget is not None else options.make_budget()
-        )
+        #: Optional resource budget shared by every expansion run,
+        #: built from the options' budget fields.
+        self.budget = options.make_budget()
         self.expander = Expander(
             self.table,
             self.interpreter,
@@ -136,7 +106,7 @@ class MacroProcessor:
         self.compiled_patterns = options.compiled_patterns
         self._parser: Parser | None = None
         #: The active :class:`~repro.diagnostics.DiagnosticSink`
-        #: during a ``recover=True`` run; None in fail-fast mode.
+        #: during a recovery run; None in fail-fast mode.
         self.diagnostics: DiagnosticSink | None = None
 
     # ==================================================================
@@ -297,14 +267,15 @@ class MacroProcessor:
     # -- internal, options-driven pipeline stages ----------------------
 
     def _run_program(
-        self, source: str, filename: str, opts: Ms2Options
+        self, source: str, filename: str
     ) -> tuple[decls.TranslationUnit, list[Diagnostic] | None]:
-        """Parse-and-expand under ``opts``; ``(unit, diagnostics)``
-        with diagnostics None in fail-fast mode (which raises)."""
-        if not opts.recover:
+        """Parse-and-expand under the session options; ``(unit,
+        diagnostics)`` with diagnostics None in fail-fast mode (which
+        raises)."""
+        if not self.options.recover:
             parser = self.make_parser(source, filename)
             return self._parse_guarded(parser), None
-        sink = DiagnosticSink(max_errors=opts.max_errors)
+        sink = DiagnosticSink(max_errors=self.options.max_errors)
         self.diagnostics = sink
         try:
             # Tokenization happens eagerly in the Parser constructor,
@@ -332,27 +303,13 @@ class MacroProcessor:
         ]
         return decls.TranslationUnit(items, loc=unit.loc)
 
-    def _render(self, unit: decls.TranslationUnit, opts: Ms2Options) -> str:
+    def _render(self, unit: decls.TranslationUnit) -> str:
+        annotate = self.options.annotate
         prof = self.profiler
         if prof is None:
-            return render_c(unit, annotate=opts.annotate)
+            return render_c(unit, annotate=annotate)
         with prof.phase("print"):
-            return render_c(unit, annotate=opts.annotate)
-
-    def _per_call_options(self, **overrides: Any) -> Ms2Options:
-        """Session options overridden by legacy per-call keywords.
-        Explicitly passed keywords go through the deprecation shim;
-        an explicit ``max_errors=None`` means "the default"."""
-        passed = {k: v for k, v in overrides.items() if v is not _UNSET}
-        if not passed:
-            return self.options
-        warn_legacy(
-            f"passing {', '.join(sorted(passed))} per call",
-            "Ms2Options (MacroProcessor(options=...) and .expand())",
-        )
-        if passed.get("max_errors", _UNSET) is None:
-            del passed["max_errors"]
-        return self.options.replace(**passed)
+            return render_c(unit, annotate=annotate)
 
     # -- the unified entry point ---------------------------------------
 
@@ -366,101 +323,68 @@ class MacroProcessor:
         trace spans recorded for this source.
 
         In fail-fast mode (``options.recover`` unset) errors raise
-        :class:`~repro.errors.Ms2Error` exactly like the legacy
-        methods; with recovery enabled the result's ``diagnostics``
-        carry every fault.
+        :class:`~repro.errors.Ms2Error` exactly like the
+        ``expand_*`` methods; with recovery enabled the result's
+        ``diagnostics`` carry every fault.
         """
-        opts = self.options
         span_start = len(self.tracer.roots) if self.tracer else 0
-        unit, diagnostics = self._run_program(source, filename, opts)
-        out_unit = unit if opts.keep_meta else self._strip_meta(unit)
-        text = self._render(out_unit, opts)
+        unit, diagnostics = self._run_program(source, filename)
+        if not self.options.keep_meta:
+            unit = self._strip_meta(unit)
+        text = self._render(unit)
         spans = self.tracer.roots[span_start:] if self.tracer else []
         return ExpandResult(
             output=text,
-            unit=out_unit,
+            unit=unit,
             diagnostics=diagnostics or [],
             stats=self.stats,
             spans=spans,
         )
 
-    # -- legacy-shaped methods (kwargs shim over the options path) -----
+    # -- shaped convenience methods over the options path -------------
 
     def expand_program(
-        self,
-        source: str,
-        filename: str = "<string>",
-        *,
-        recover: Any = _UNSET,
-        max_errors: Any = _UNSET,
+        self, source: str, filename: str = "<string>"
     ) -> decls.TranslationUnit | tuple[
         decls.TranslationUnit, list[Diagnostic]
     ]:
         """Parse-and-expand a program; returns the expanded AST
         including meta items (macro definitions, metadcls).
 
-        With recovery enabled the run collects up to ``max_errors``
-        diagnostics instead of raising on the first fault: failed
-        regions become poisoned ``Error*`` nodes and the result is a
-        ``(unit, diagnostics)`` pair.  Fail-fast behaviour (the
-        default) is unchanged.  Passing ``recover=``/``max_errors=``
-        per call is deprecated — set them on :class:`Ms2Options`.
+        With ``options.recover`` the run collects up to
+        ``options.max_errors`` diagnostics instead of raising on the
+        first fault: failed regions become poisoned ``Error*`` nodes
+        and the result is a ``(unit, diagnostics)`` pair.
         """
-        opts = self._per_call_options(
-            recover=recover, max_errors=max_errors
-        )
-        unit, diagnostics = self._run_program(source, filename, opts)
-        if opts.recover:
-            return unit, list(diagnostics or [])
-        return unit
+        unit, diagnostics = self._run_program(source, filename)
+        return unit if diagnostics is None else (unit, diagnostics)
 
     def expand_to_ast(
-        self,
-        source: str,
-        filename: str = "<string>",
-        *,
-        recover: Any = _UNSET,
-        max_errors: Any = _UNSET,
+        self, source: str, filename: str = "<string>"
     ) -> decls.TranslationUnit | tuple[
         decls.TranslationUnit, list[Diagnostic]
     ]:
         """Like :meth:`expand_program` but with all meta-program items
         stripped — the translation unit a downstream C compiler sees."""
-        opts = self._per_call_options(
-            recover=recover, max_errors=max_errors
-        )
-        unit, diagnostics = self._run_program(source, filename, opts)
+        unit, diagnostics = self._run_program(source, filename)
         stripped = self._strip_meta(unit)
-        if opts.recover:
-            return stripped, list(diagnostics or [])
-        return stripped
+        return stripped if diagnostics is None else (stripped, diagnostics)
 
     def expand_to_c(
-        self,
-        source: str,
-        filename: str = "<string>",
-        *,
-        annotate: Any = _UNSET,
-        recover: Any = _UNSET,
-        max_errors: Any = _UNSET,
+        self, source: str, filename: str = "<string>"
     ) -> str | tuple[str, list[Diagnostic]]:
         """Full pipeline: source with macros in, plain C text out.
 
-        With annotation enabled the printer emits provenance comments
-        (``/* <- Macro @ file:line */``) on macro-generated code and
-        ``#line`` directives mapping the output back to user source.
-        With recovery enabled returns ``(text, diagnostics)``;
-        recovered faults render as ``/* <error: ...> */`` comments.
-        Per-call keywords are deprecated — set :class:`Ms2Options`.
+        With ``options.annotate`` the printer emits provenance
+        comments (``/* <- Macro @ file:line */``) on macro-generated
+        code and ``#line`` directives mapping the output back to user
+        source.  With ``options.recover`` returns ``(text,
+        diagnostics)``; recovered faults render as
+        ``/* <error: ...> */`` comments.
         """
-        opts = self._per_call_options(
-            annotate=annotate, recover=recover, max_errors=max_errors
-        )
-        unit, diagnostics = self._run_program(source, filename, opts)
-        text = self._render(self._strip_meta(unit), opts)
-        if opts.recover:
-            return text, list(diagnostics or [])
-        return text
+        unit, diagnostics = self._run_program(source, filename)
+        text = self._render(self._strip_meta(unit))
+        return text if diagnostics is None else (text, diagnostics)
 
     # ------------------------------------------------------------------
 
@@ -484,7 +408,6 @@ def expand_source(
     *,
     packages: list[str] | None = None,
     options: Ms2Options | None = None,
-    hygienic: Any = _UNSET,
 ) -> str:
     """One-shot convenience: expand ``source`` (optionally after
     loading macro-package sources) and return C text.
@@ -492,15 +415,7 @@ def expand_source(
     Accepts the same :class:`~repro.options.Ms2Options` as
     :class:`MacroProcessor`, so the one-shot path and the session path
     share every default (recovery, budgets, hygiene) by construction.
-    The old ``hygienic=`` keyword forwards through the deprecation
-    shim.
     """
-    if hygienic is not _UNSET:
-        warn_legacy(
-            "expand_source(hygienic=...)",
-            "expand_source(options=Ms2Options(hygienic=...))",
-        )
-        options = (options or Ms2Options()).replace(hygienic=hygienic)
     mp = MacroProcessor(options=options)
     for pkg in packages or []:
         mp.load(pkg)

@@ -1,10 +1,8 @@
 """The unified configuration surface of the expansion daemon.
 
-Historically every knob of ``repro serve`` travelled as its own
-keyword argument — ``serve(socket_path=..., max_inflight=..., ...)``
-with the CLI re-deriving its own argparse defaults for all of them.
-:class:`ServeConfig` replaces that sprawl with one frozen value object
-following the :class:`~repro.options.Ms2Options` pattern:
+Every knob of ``repro serve`` lives on :class:`ServeConfig`, one
+frozen value object following the :class:`~repro.options.Ms2Options`
+pattern:
 
 - the **single source of defaults** (the ``repro serve`` argparse
   defaults and the library's behaviour both come from
@@ -15,11 +13,6 @@ following the :class:`~repro.options.Ms2Options` pattern:
 - **validated once** (:meth:`ServeConfig.validate`), so an
   impossible combination (no listen address, a Unix socket with
   ``shards > 1``) fails before any process is spawned.
-
-The legacy ``serve(...)`` keyword arguments keep working through a
-thin shim (:meth:`ServeConfig.from_legacy_kwargs`) that emits
-:class:`~repro.options.Ms2DeprecationWarning`, exactly like the
-``MacroProcessor`` legacy-kwargs shim.
 """
 
 from __future__ import annotations
@@ -28,8 +21,6 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-
-from repro.options import warn_legacy
 
 __all__ = [
     "DEFAULT_DRAIN_S",
@@ -198,77 +189,10 @@ class ServeConfig:
             kwargs[name] = _check_field(name, data[name])
         return cls(**kwargs)
 
-    # ------------------------------------------------------------------
-    # Legacy-kwargs shim
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_legacy_kwargs(cls, **legacy: Any) -> "ServeConfig":
-        """Fold the legacy ``serve(...)`` keyword arguments into a
-        config value, emitting one
-        :class:`~repro.options.Ms2DeprecationWarning` per call.
-
-        The legacy spellings — ``socket_path``, ``package_names``,
-        ``default_deadline_s`` — map onto the new field names;
-        everything else shares its name.  Legacy defaults are
-        preserved (``cache_dir=None`` disabled the persistent cache).
-        """
-        unknown = set(legacy) - _LEGACY_FIELDS
-        if unknown:
-            raise TypeError(
-                f"unknown serve() option(s): {sorted(unknown)}"
-            )
-        warn_legacy(
-            f"passing {', '.join(sorted(legacy))} as serve() keyword "
-            "argument(s)",
-            "ServeConfig",
-        )
-        kwargs: dict[str, Any] = {}
-        if "socket_path" in legacy:
-            value = legacy.pop("socket_path")
-            kwargs["socket"] = str(value) if value is not None else None
-        if "package_names" in legacy:
-            kwargs["packages"] = tuple(legacy.pop("package_names"))
-        if "default_deadline_s" in legacy:
-            value = legacy.pop("default_deadline_s")
-            kwargs["request_deadline_ms"] = (
-                value * 1000.0 if value is not None else None
-            )
-        for name, value in legacy.items():
-            if name in ("cache_dir", "event_log") and value is not None:
-                value = str(value)
-            elif name == "package_sources":
-                value = tuple(
-                    (str(filename), source) for filename, source in value
-                )
-            kwargs[name] = value
-        return cls(**kwargs)
-
 
 #: Every field name of :class:`ServeConfig`, declaration order.
 SERVE_FIELDS: tuple[str, ...] = tuple(
     f.name for f in dataclasses.fields(ServeConfig)
-)
-
-#: The keyword arguments the legacy ``serve(...)`` signature took.
-_LEGACY_FIELDS = frozenset(
-    {
-        "socket_path",
-        "host",
-        "port",
-        "package_names",
-        "package_sources",
-        "cache_dir",
-        "max_inflight",
-        "queue_limit",
-        "max_frame_bytes",
-        "warm_spares",
-        "default_deadline_s",
-        "drain_s",
-        "metrics_port",
-        "metrics_host",
-        "event_log",
-    }
 )
 
 _DEFAULTS = None  # populated lazily below (needs the class finalized)

@@ -1174,7 +1174,9 @@ class Ms2Server:
     ) -> dict[str, Any]:
         op = request.get("op")
         rid = request.get("id")
-        self._m["requests"].inc(op=op if isinstance(op, str) else "?")
+        # Unknown ops share one series: the label set stays bounded
+        # whatever op strings clients send.
+        self._m["requests"].inc(op=op if op in REQUEST_OPS else "other")
         if op == "ping":
             return _ok(rid, op, {
                 "pong": True,
@@ -1732,7 +1734,6 @@ def serve(
     config: ServeConfig | None = None,
     *,
     ready: Any = None,
-    **legacy: Any,
 ) -> None:
     """Run an expansion daemon until it shuts down (the ``repro
     serve`` entry point; also the :mod:`repro.api` facade's
@@ -1748,19 +1749,7 @@ def serve(
     bound — with the :class:`Ms2Server` (single process) or the
     :class:`repro.shard.ShardSupervisor` (fleet); both expose
     ``.address``.  Tests use it to learn ephemeral ports.
-
-    The pre-:class:`ServeConfig` keyword arguments
-    (``socket_path=...``, ``port=...``, ``max_inflight=...``, ...)
-    keep working through a shim that emits
-    :class:`~repro.options.Ms2DeprecationWarning`.
     """
-    if legacy:
-        if config is not None:
-            raise TypeError(
-                "serve() takes either config=ServeConfig(...) or the "
-                "legacy keyword arguments, not both"
-            )
-        config = ServeConfig.from_legacy_kwargs(**legacy)
     if config is None:
         raise TypeError(
             "serve() requires a ServeConfig: "

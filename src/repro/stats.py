@@ -119,9 +119,6 @@ class PipelineStats:
             stats.phase_calls[name] = entry.get("calls", 0)
         return stats
 
-    #: Legacy spelling of :meth:`from_json`.
-    from_dict = from_json
-
     def cache_hit_rate(self) -> float:
         """Hits over cacheable lookups (0.0 when nothing was cacheable)."""
         total = self.cache_hits + self.cache_misses
@@ -166,13 +163,10 @@ class PipelineStats:
             }
         return out
 
-    #: Legacy spelling of :meth:`to_json`.
-    as_dict = to_json
-
     def summary(self) -> str:
         """Multi-line human-readable rendering (the ``--stats`` output)."""
         lines = ["-- pipeline stats --"]
-        for key, value in self.as_dict().items():
+        for key, value in self.to_json().items():
             if isinstance(value, dict):
                 continue  # phases get their own table (--profile)
             lines.append(f"{key:22} {value}")

@@ -103,9 +103,6 @@ class ExpansionSpan:
             record["request_id"] = self.request_id
         return record
 
-    #: Legacy spelling of :meth:`to_json`.
-    as_dict = to_json
-
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ExpansionSpan":
         """Rebuild one span from a :meth:`to_json` record.  Children
@@ -150,7 +147,7 @@ class Tracer:
     hooks:
         Callables invoked as ``hook(event, span)`` on ``"start"``,
         ``"end"`` and ``"error"`` events — the subscription API used by
-        tests and external tools (``MacroProcessor(trace_hooks=[...])``).
+        tests and external tools (``Ms2Options(trace_hooks=(...))``).
     jsonl:
         Optional writable text stream; every completed span is
         appended as one JSON line (an *event log*, in completion
@@ -246,7 +243,7 @@ class Tracer:
     def _log(self, span: ExpansionSpan) -> None:
         if self.jsonl is None:
             return
-        record = {"event": "span", **span.as_dict()}
+        record = {"event": "span", **span.to_json()}
         self.jsonl.write(json.dumps(record) + "\n")
 
     # ------------------------------------------------------------------
@@ -265,7 +262,7 @@ class Tracer:
         """Every recorded span as a JSON-ready dict, pre-order — the
         serialized form carried by batch-build reports and persistent
         cache snapshots (parent ids preserve the tree shape)."""
-        return [span.as_dict() for span in self.walk_spans()]
+        return [span.to_json() for span in self.walk_spans()]
 
     def render_tree(self, indent: str = "  ") -> str:
         """The nested span tree as text (the ``repro trace`` output)."""

@@ -1,5 +1,5 @@
-"""CacheConfig: defaults, wire format, validation, the legacy-kwargs
-shim, and the ``BuildSession(cache=...)`` resolution rules.
+"""CacheConfig: defaults, wire format, validation, and the
+``BuildSession(cache=...)`` resolution rules.
 
 CacheConfig is the single source of cache defaults — the CLI flags,
 the library behaviour and the JSON policy a build farm ships to its
@@ -25,7 +25,6 @@ from repro.driver.cacheconfig import (
     DEFAULT_REMOTE_TIMEOUT_S,
     DEFAULT_WRITE_BEHIND,
 )
-from repro.options import Ms2DeprecationWarning
 
 
 # ---------------------------------------------------------------------------
@@ -168,51 +167,8 @@ def test_build_backend_disabled() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Legacy-kwargs shim
-# ---------------------------------------------------------------------------
-
-
-def test_from_legacy_kwargs_cache_dir(tmp_path: Path) -> None:
-    with pytest.warns(Ms2DeprecationWarning, match="cache_dir"):
-        config = CacheConfig.from_legacy_kwargs(cache_dir=tmp_path)
-    assert config.local_dir == str(tmp_path)
-
-
-def test_from_legacy_kwargs_cache_dir_none_disables() -> None:
-    with pytest.warns(Ms2DeprecationWarning):
-        config = CacheConfig.from_legacy_kwargs(cache_dir=None)
-    assert config.local_dir is None
-    assert not config.enabled
-
-
-def test_from_legacy_kwargs_use_disk_cache_false() -> None:
-    with pytest.warns(Ms2DeprecationWarning, match="use_disk_cache"):
-        config = CacheConfig.from_legacy_kwargs(use_disk_cache=False)
-    assert config.local_dir is None
-    assert config.remote is None
-
-
-def test_from_legacy_kwargs_unknown_is_typeerror() -> None:
-    with pytest.raises(TypeError, match="cache_size"):
-        CacheConfig.from_legacy_kwargs(cache_size=9)
-
-
-# ---------------------------------------------------------------------------
 # BuildSession(cache=...) resolution
 # ---------------------------------------------------------------------------
-
-
-def test_session_legacy_cache_dir_still_works(tmp_path: Path) -> None:
-    with pytest.warns(Ms2DeprecationWarning, match="CacheConfig"):
-        session = BuildSession(cache_dir=tmp_path / "c")
-    assert isinstance(session.cache, PersistentCache)
-    assert session.cache_config.local_dir == str(tmp_path / "c")
-
-
-def test_session_legacy_use_disk_cache_false() -> None:
-    with pytest.warns(Ms2DeprecationWarning):
-        session = BuildSession(use_disk_cache=False)
-    assert session.cache is None
 
 
 def test_session_cache_accepts_config(tmp_path: Path) -> None:
@@ -233,11 +189,6 @@ def test_session_cache_accepts_ready_backend(tmp_path: Path) -> None:
     backend = PersistentCache(tmp_path / "c")
     session = BuildSession(cache=backend)
     assert session.cache is backend
-
-
-def test_session_rejects_mixing_new_and_legacy(tmp_path: Path) -> None:
-    with pytest.raises(TypeError, match="not both"):
-        BuildSession(cache=None, cache_dir=tmp_path)
 
 
 def test_session_default_is_cacheconfig_default(tmp_path, monkeypatch) -> None:

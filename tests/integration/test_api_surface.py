@@ -115,12 +115,6 @@ def test_entry_points_keep_keyword_signatures() -> None:
     serve_params = inspect.signature(api.serve).parameters
     for name in ("options", "config"):
         assert name in serve_params, name
-    # The legacy keyword arguments (socket_path=..., port=..., ...)
-    # must keep being *accepted* — via the **legacy shim.
-    assert any(
-        p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in serve_params.values()
-    ), "serve() lost its legacy-kwargs compatibility shim"
 
 
 def test_serve_config_surface() -> None:

@@ -266,11 +266,6 @@ class TestStatsAndCaching:
 
 
 class TestSemanticsNeutralOptions:
-    def test_compiled_bodies_excluded_from_options_hash(self):
-        on = Ms2Options(compiled_bodies=True)
-        off = Ms2Options(compiled_bodies=False)
-        assert on.options_hash() == off.options_hash()
-
     def test_compiled_closure_masquerades_as_closure(self):
         # Dynamic-type error messages print type(v).__name__; a
         # compiled closure must not leak its implementation class.

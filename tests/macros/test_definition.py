@@ -43,7 +43,7 @@ class TestMacroDefinition:
         assert defn.ret_spec == "stmt"
         assert not defn.returns_list
         # Compiled dispatch is the default; the interpreted engine is
-        # opt-in via MacroProcessor(compiled_patterns=False).
+        # opt-in via Ms2Options(compiled_patterns=False).
         assert defn.compiled_matcher is not None
 
 

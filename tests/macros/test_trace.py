@@ -161,7 +161,7 @@ class TestPhaseProfiler:
         loops.register(mp)
         mp.expand_to_c("void f(void) { unroll (2) {a();} }")
         assert mp.stats.phase_seconds == {}
-        assert "phases" not in mp.stats.as_dict()
+        assert "phases" not in mp.stats.to_json()
 
     def test_add_accumulates(self):
         stats = PipelineStats()
@@ -183,7 +183,7 @@ class TestPhaseProfiler:
         mp = MacroProcessor(options=Ms2Options(profile=True))
         loops.register(mp)
         mp.expand_to_c("void f(void) { unroll (2) {a();} }")
-        payload = mp.stats.as_dict()
+        payload = mp.stats.to_json()
         assert payload["phases"]["meta-eval"]["calls"] == 1
 
 

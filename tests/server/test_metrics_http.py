@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.options import Ms2Options
+from repro.server import REQUEST_OPS
 from tests.telemetry.test_registry import (
     assert_valid_exposition,
     exposition_samples,
@@ -379,6 +380,36 @@ def test_junk_paths_share_one_other_series(telemetry_server):
     assert set(after) <= {
         "/metrics", "/healthz", "/statusz", "/v1/expand", "other",
     }
+
+
+def _op_counts(handle) -> dict[str, float]:
+    _, _, body = _get(handle, "/metrics")
+    prefix = 'ms2_requests_total{op="'
+    return {
+        series[len(prefix):-2]: value
+        for series, value in exposition_samples(
+            body.decode("utf-8")
+        ).items()
+        if series.startswith(prefix)
+    }
+
+
+def test_junk_ops_share_one_other_series(telemetry_server):
+    """Distinct unknown ops cannot grow the series set either: they
+    all count under ``op="other"``, in ``/metrics`` and in the
+    ``stats`` op alike."""
+    with telemetry_server.client() as client:
+        client.stats()
+        before = _op_counts(telemetry_server)
+        for index in range(50):
+            response = client.request({"op": f"junk-{index}"})
+            assert response["error"]["code"] == "bad_request"
+        after = _op_counts(telemetry_server)
+        stats = client.stats()
+    assert set(after) - set(before) == {"other"}
+    assert after["other"] == 50
+    assert stats["requests"]["other"] == 50
+    assert set(after) <= {*REQUEST_OPS, "other"}
 
 
 def test_run_top_polls_a_live_daemon(telemetry_server, tmp_path):

@@ -1,6 +1,6 @@
 """The frozen :class:`~repro.serveconfig.ServeConfig` value object:
 defaults shared with argparse, JSON round-trips, validation, the
-legacy-kwargs shim, and the one shared address parser."""
+``serve()`` entry point, and the one shared address parser."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.cli import build_arg_parser, serve_config_from_args
 from repro.client import parse_address, parse_server_address
-from repro.options import Ms2DeprecationWarning
 from repro.serveconfig import SERVE_FIELDS, ServeConfig
 
 
@@ -131,34 +130,8 @@ def test_from_json_rejects_wrong_types(payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Legacy-kwargs shim
+# serve() entry point
 # ---------------------------------------------------------------------------
-
-
-def test_legacy_kwargs_map_and_warn() -> None:
-    with pytest.warns(Ms2DeprecationWarning):
-        config = ServeConfig.from_legacy_kwargs(
-            socket_path="/tmp/legacy.sock",
-            package_names=["loops"],
-            default_deadline_s=2.0,
-            max_inflight=8,
-        )
-    assert config.socket == "/tmp/legacy.sock"
-    assert config.packages == ("loops",)
-    assert config.request_deadline_ms == pytest.approx(2000.0)
-    assert config.max_inflight == 8
-
-
-def test_legacy_kwargs_reject_unknown_names() -> None:
-    with pytest.raises(TypeError, match="unknown serve"):
-        ServeConfig.from_legacy_kwargs(sockets_path="/oops")
-
-
-def test_serve_rejects_config_plus_legacy_kwargs() -> None:
-    from repro.server import serve
-
-    with pytest.raises(TypeError, match="not both"):
-        serve(None, ServeConfig(port=0), max_inflight=2)
 
 
 def test_serve_requires_some_config() -> None:
