@@ -29,6 +29,12 @@ replaying invocation's location and each distinct mark ID to a fresh
 mark from the expander's counter — re-stamping the entire tree as a
 side effect of loading it.
 
+Each entry also records its :class:`ReplayCost` — the nested
+expansions, budgeted output nodes and nesting height of the fresh
+expansion — which the expander charges on every hit, so expansion
+budgets and the depth limit trip exactly as they would with the cache
+off.
+
 Whether a macro is safe to cache at all is decided once, at
 definition time, by :func:`repro.analysis.analyze_macro_purity` —
 macros that touch ``metadcl`` state, call ``gensym``-like or semantic
@@ -42,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import pickle
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, NamedTuple
 
 from repro.cast.base import Node
 from repro.cast.struct_hash import Unhashable, structural_key
@@ -55,6 +61,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ExpansionCache",
+    "ReplayCost",
     "replay_result",
     "CACHE_FORMAT_VERSION",
     "SNAPSHOT_HEADER",
@@ -174,11 +181,23 @@ def _snapshot(value: Any, tokens: dict[int, _MarkToken]) -> Any:
     return value
 
 
+class ReplayCost(NamedTuple):
+    """The work a fresh expansion did beyond its own budget charge."""
+
+    #: Macro expansions nested inside it.
+    expansions: int = 0
+    #: Output AST nodes it and its nested expansions charged.
+    output_nodes: int = 0
+    #: Expansion frames it stacked: 1 plus its deepest nesting.
+    height: int = 1
+
+
 class ExpansionCache:
     """A per-session memo table of completed expansions."""
 
     def __init__(self, stats: "PipelineStats | None" = None) -> None:
         self._entries: dict[Hashable, bytes] = {}
+        self._costs: dict[Hashable, ReplayCost] = {}
         self.stats = stats
 
     def __len__(self) -> int:
@@ -200,7 +219,15 @@ class ExpansionCache:
     def lookup(self, key: Hashable) -> bytes | None:
         return self._entries.get(key)
 
-    def store(self, key: Hashable, result: Node | list[Node]) -> None:
+    def cost(self, key: Hashable) -> ReplayCost:
+        return self._costs.get(key, ReplayCost())
+
+    def store(
+        self,
+        key: Hashable,
+        result: Node | list[Node],
+        cost: ReplayCost = ReplayCost(),
+    ) -> None:
         buffer = io.BytesIO()
         buffer.write(SNAPSHOT_HEADER)
         try:
@@ -212,6 +239,7 @@ class ExpansionCache:
             # definition reference): leave the invocation uncached.
             return
         self._entries[key] = buffer.getvalue()
+        self._costs[key] = cost
 
     def replay(
         self,
@@ -247,6 +275,7 @@ class ExpansionCache:
                 # thing here: the snapshot is unusable.
                 pass
         self._entries.pop(key, None)
+        self._costs.pop(key, None)
         if self.stats is not None:
             self.stats.cache_replay_failures += 1
         return None
@@ -254,6 +283,7 @@ class ExpansionCache:
     def clear(self) -> None:
         """Drop every entry (meta-function redefinition, tests)."""
         self._entries.clear()
+        self._costs.clear()
 
 
 def replay_result(

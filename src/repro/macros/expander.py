@@ -22,7 +22,7 @@ from repro.cast import decls, nodes, stmts
 from repro.cast.base import Node
 from repro.diagnostics import ExpansionBudget
 from repro.errors import ExpansionError, Ms2Error
-from repro.macros.cache import ExpansionCache
+from repro.macros.cache import ExpansionCache, ReplayCost
 from repro.macros.definition import MacroDefinition, MacroTable
 from repro.meta.frames import NULL
 from repro.meta.interp import Interpreter
@@ -45,7 +45,10 @@ class Expander:
     by :func:`repro.analysis.analyze_macro_purity` are memoized: a
     repeat invocation with structurally equal actuals replays the
     stored result (deep-copied, fresh locations and marks) instead of
-    re-running the meta-program.
+    re-running the meta-program.  A replay charges the budget and the
+    depth limit with what the fresh expansion did; when that would
+    overrun one, the invocation is re-expanded so the error is the
+    one an uncached run raises.
     """
 
     def __init__(
@@ -76,6 +79,9 @@ class Expander:
         self.profiler = profiler
         self._mark_counter = 0
         self._depth = 0
+        #: Deepest ``_depth`` reached in the current top frame,
+        #: replayed heights included.
+        self._peak = 0
         #: Statistics: how many invocations were expanded.
         self.expansion_count = 0
 
@@ -124,8 +130,9 @@ class Expander:
         invocation: nodes.MacroInvocation,
         chain: tuple[ExpansionSite, ...],
     ) -> tuple[Node | list[Node], str]:
-        if self.budget is not None:
-            self.budget.charge_expansion(invocation.loc)
+        budget = self.budget
+        if budget is not None:
+            budget.charge_expansion(invocation.loc)
         cache_status = "off"
         key = None
         if self.cache is not None:
@@ -150,15 +157,13 @@ class Expander:
                         replay_location(invocation.loc, chain),
                         self._fresh_mark,
                     )
-                    if replayed is not None:
+                    if replayed is not None and self._charge_replay(
+                        self.cache.cost(key)
+                    ):
                         self.expansion_count += 1
                         if self.stats is not None:
                             self.stats.cache_hits += 1
                             self.stats.expansions += 1
-                        if self.budget is not None:
-                            self.budget.charge_output(
-                                replayed, invocation.loc
-                            )
                         return replayed, "hit"
                 cache_status = "miss"
                 if self.stats is not None:
@@ -176,6 +181,9 @@ class Expander:
                 invocation.loc,
             )
         self._depth += 1
+        depth, outer_peak = self._depth, self._peak
+        self._peak = depth
+        used = self._budget_used()
         try:
             mark = self._fresh_mark()
             bindings = {
@@ -230,16 +238,42 @@ class Expander:
                 result = make_hygienic(
                     result, mark, self.interpreter, stats=self.stats
                 )
-            if key is not None:
-                self.cache.store(key, result)
             self.expansion_count += 1
             if self.stats is not None:
                 self.stats.expansions += 1
-            if self.budget is not None:
-                self.budget.charge_output(result, invocation.loc)
+            if budget is not None:
+                budget.charge_output(result, invocation.loc)
+            if key is not None:
+                expansions, output_nodes = self._budget_used()
+                cost = ReplayCost(
+                    expansions - used[0],
+                    output_nodes - used[1],
+                    self._peak - depth + 1,
+                )
+                self.cache.store(key, result, cost)
             return result, cache_status
         finally:
             self._depth -= 1
+            self._peak = max(outer_peak, self._peak)
+
+    def _budget_used(self) -> tuple[int, int]:
+        budget = self.budget
+        if budget is None:
+            return 0, 0
+        return budget.expansions_used, budget.output_nodes_used
+
+    def _charge_replay(self, cost: ReplayCost) -> bool:
+        """Charge a cache hit with its fresh expansion's work; False,
+        charging nothing, when that work would pass the depth limit or
+        a budget limit."""
+        if self._depth + cost.height > MAX_EXPANSION_DEPTH:
+            return False
+        if self.budget is not None and not self.budget.charge_replay(
+            cost.expansions, cost.output_nodes
+        ):
+            return False
+        self._peak = max(self._peak, self._depth + cost.height)
+        return True
 
     @staticmethod
     def _with_provenance(
