@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro import MacroProcessor, Ms2Options
+from repro.macros.codegen import clear_body_memo
 
 try:
     from .test_expansion_throughput import REPEATED_WORKLOADS, _expand
@@ -142,6 +143,9 @@ def measure_amortization(smoke: bool = False) -> dict:
     later ones only run the generated code."""
     repeats = 3 if smoke else 9
     source, program = COMPUTE_WORKLOADS["ct-fold"]
+    # Earlier workloads loaded this source too: forget their bodies so
+    # the first expansion pays a real compile, not a memo hit.
+    clear_body_memo()
     mp = MacroProcessor(options=Ms2Options(cache=False))
     mp.load(source)
     start = time.perf_counter()

@@ -21,7 +21,8 @@ Two families live here:
   state, calls a fresh-name builtin (``gensym``), a semantic builtin
   (``type_of`` / ``has_type`` — their answers depend on the C scope
   at the invocation site), a stateful diagnostic (``warning``), or an
-  impure meta-function, transitively.
+  impure meta-function, transitively, or when a template of it
+  invokes an impure macro.
 """
 
 from __future__ import annotations
@@ -535,7 +536,8 @@ class _PurityScan:
 
     def _analyze_template(self, template, bound: set[str]) -> None:
         """Template C code is inert data; only the meta-expressions
-        inside placeholder holes execute at expansion time."""
+        inside placeholder holes execute at expansion time, and the
+        macros it invokes are expanded into the result."""
         if isinstance(template, list):
             for item in template:
                 self._analyze_template(item, bound)
@@ -545,6 +547,12 @@ class _PurityScan:
         if isinstance(template, _PLACEHOLDER_CLASSES):
             self.analyze_expr(template.meta_expr, bound)
             return
+        if isinstance(template, nodes.MacroInvocation):
+            purity = getattr(template.definition, "purity", None)
+            if purity is None or not purity.cacheable:
+                self.reasons.append(
+                    f"invokes uncacheable macro {template.name!r}"
+                )
         for child in children(template):
             self._analyze_template(child, bound)
 

@@ -28,6 +28,8 @@ output contains no ``syntax`` / ``metadcl`` items.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.analysis import analyze_macro_purity
 from repro.cast import decls, nodes
 from repro.cast.base import Node
@@ -105,6 +107,14 @@ class MacroProcessor:
         )
         self.compiled_patterns = options.compiled_patterns
         self._parser: Parser | None = None
+        #: Running sha256 of the options hash and every file loaded so
+        #: far; None once a program run or a failed load has touched
+        #: the context, after which new macros get no ``body_key``.
+        self._load_history = hashlib.sha256(
+            options.options_hash().encode("utf-8")
+        )
+        #: The digest through the file being loaded, during ``load()``.
+        self._body_key_prefix: str | None = None
         #: The active :class:`~repro.diagnostics.DiagnosticSink`
         #: during a recovery run; None in fail-fast mode.
         self.diagnostics: DiagnosticSink | None = None
@@ -129,6 +139,10 @@ class MacroProcessor:
                 definition.pattern, definition.name
             )
         self.table.define(definition)
+        if self._body_key_prefix is not None:
+            definition.body_key = (
+                self._body_key_prefix, definition.name, definition.generation
+            )
         definition.purity = analyze_macro_purity(
             definition, self.interpreter.globals
         )
@@ -231,6 +245,8 @@ class MacroProcessor:
         filename: str = "<string>",
         diagnostics: DiagnosticSink | None = None,
     ) -> Parser:
+        # Parse state now depends on more than the loaded files.
+        self._load_history = None
         parser = Parser(
             source, host=self, expand_inline=True, filename=filename,
             stats=self.stats, profiler=self.profiler,
@@ -260,9 +276,24 @@ class MacroProcessor:
 
     def load(self, source: str, filename: str = "<package>") -> None:
         """Process a macro-package file: definitions are registered,
-        any plain C in the file is discarded."""
-        parser = self.make_parser(source, filename)
-        self._parse_guarded(parser)
+        any plain C in the file is discarded.
+
+        While the context has seen only successful loads, the macros
+        defined here get a ``body_key`` naming this load history, so
+        their compiled bodies are shared with every context that
+        loads the same files under the same options."""
+        history = self._load_history
+        if history is not None:
+            for part in (filename, source):
+                data = part.encode("utf-8", "surrogatepass")
+                history.update(b"%d:" % len(data) + data)
+            self._body_key_prefix = history.hexdigest()
+        try:
+            parser = self.make_parser(source, filename)
+            self._parse_guarded(parser)
+        finally:
+            self._body_key_prefix = None
+        self._load_history = history
 
     # -- internal, options-driven pipeline stages ----------------------
 

@@ -29,6 +29,13 @@ replaying invocation's location and each distinct mark ID to a fresh
 mark from the expander's counter — re-stamping the entire tree as a
 side effect of loading it.
 
+Entries are admitted on the *second* sighting of their key.  Most
+fresh-context runs expand each distinct invocation once, and pickling
+a result nobody replays is pure cost, so the first fresh expansion
+under a key only records the key; the second pickles the snapshot;
+the third and later invocations replay it.  :meth:`ExpansionCache.clear`
+forgets sightings along with entries.
+
 Each entry also records its :class:`ReplayCost` — the nested
 expansions, budgeted output nodes and nesting height of the fresh
 expansion — which the expander charges on every hit, so expansion
@@ -198,6 +205,8 @@ class ExpansionCache:
     def __init__(self, stats: "PipelineStats | None" = None) -> None:
         self._entries: dict[Hashable, bytes] = {}
         self._costs: dict[Hashable, ReplayCost] = {}
+        #: Keys :meth:`store` has seen; a key is admitted on its second.
+        self._sighted: set[Hashable] = set()
         self.stats = stats
 
     def __len__(self) -> int:
@@ -228,6 +237,11 @@ class ExpansionCache:
         result: Node | list[Node],
         cost: ReplayCost = ReplayCost(),
     ) -> None:
+        """Admit ``result`` under ``key`` on its second sighting; the
+        first only records the key."""
+        if key not in self._sighted:
+            self._sighted.add(key)
+            return
         buffer = io.BytesIO()
         buffer.write(SNAPSHOT_HEADER)
         try:
@@ -281,9 +295,11 @@ class ExpansionCache:
         return None
 
     def clear(self) -> None:
-        """Drop every entry (meta-function redefinition, tests)."""
+        """Drop every entry and sighting (meta-function redefinition,
+        tests)."""
         self._entries.clear()
         self._costs.clear()
+        self._sighted.clear()
 
 
 def replay_result(

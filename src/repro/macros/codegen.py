@@ -7,8 +7,7 @@ backquote template node by node through
 observation — that per-macro parse routines can be *compiled* rather
 than interpreted — extends to the whole macro: this module lowers a
 macro body (a C-subset meta-program) to one generated Python function,
-compiled once with :func:`compile` and cached on the
-:class:`~repro.macros.definition.MacroDefinition`:
+compiled with :func:`compile` on the macro's first invocation:
 
 * meta statements and expressions become straight-line Python
   (meta-variables are alpha-renamed Python locals, scoping resolved at
@@ -32,6 +31,19 @@ static per-statement batches rather than per node, so a runaway
 meta-program still exhausts the identical budget with the identical
 error message, merely at a slightly different step.
 
+The compiled body is cached on the
+:class:`~repro.macros.definition.MacroDefinition` and, for macros
+defined by :meth:`~repro.engine.MacroProcessor.load`, in a
+process-wide LRU memo of at most :data:`BODY_MEMO_SIZE`
+entries, so a fresh context that loads the same packages under the
+same options reuses the bodies an earlier context compiled.  The memo
+key is the definition's ``body_key``: a running sha256 of the options
+hash and every ``(filename, source)`` loaded before and including the
+defining file, the macro name and its definition generation.  Equal
+keys mean the definitions were parsed from the same text in the same
+state, so they compile to interchangeable bodies.  Macros defined in
+program files have no key and compile per context.
+
 Environment: ``MS2_DISABLE_BODY_COMPILE=1`` is an operational kill
 switch forcing every body through the interpreter (used by CI's
 compiled-off leg); ``MS2_BODY_COMPILE_DEBUG=1`` re-raises compiler
@@ -43,8 +55,10 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+import threading
 import time
-from typing import Any
+from collections import OrderedDict
+from typing import Any, Hashable
 
 from repro.asttypes.convert import bindings_from_declaration
 from repro.asttypes.types import CType, ListType
@@ -75,6 +89,7 @@ from repro.meta.values import Closure, extract_component, truthy, values_equal
 __all__ = [
     "CompiledBody",
     "CompiledClosure",
+    "clear_body_memo",
     "compile_macro_body",
     "get_compiled_body",
 ]
@@ -148,30 +163,88 @@ class CompiledBody:
             ) from None
 
 
+#: Most compiled bodies (or fallback verdicts) the process-wide memo
+#: keeps; the least recently used entry goes first.
+BODY_MEMO_SIZE = 512
+
+_BODY_MEMO: OrderedDict[Hashable, CompiledBody | bool] = OrderedDict()
+_BODY_MEMO_LOCK = threading.Lock()
+
+
+def _reset_memo_lock() -> None:
+    # A build worker forked while another thread held the lock would
+    # otherwise wait on it forever.
+    global _BODY_MEMO_LOCK
+    _BODY_MEMO_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_memo_lock)
+
+
+def _memo_get(key: Hashable) -> CompiledBody | bool | None:
+    with _BODY_MEMO_LOCK:
+        body = _BODY_MEMO.get(key)
+        if body is not None:
+            _BODY_MEMO.move_to_end(key)
+        return body
+
+
+def _memo_put(key: Hashable, body: CompiledBody | bool) -> None:
+    with _BODY_MEMO_LOCK:
+        _BODY_MEMO[key] = body
+        _BODY_MEMO.move_to_end(key)
+        while len(_BODY_MEMO) > BODY_MEMO_SIZE:
+            _BODY_MEMO.popitem(last=False)
+
+
+def clear_body_memo() -> None:
+    """Forget every memoized body (benchmarks timing a real compile)."""
+    with _BODY_MEMO_LOCK:
+        _BODY_MEMO.clear()
+
+
+def _compile_or_fallback(definition: Any) -> CompiledBody | bool:
+    try:
+        return compile_macro_body(definition)
+    except _Uncompilable:
+        return False
+    except (Ms2Error, Exception):  # noqa: B014 - never break expansion
+        if _DEBUG:
+            raise
+        return False
+
+
 def get_compiled_body(definition: Any, stats: Any = None) -> CompiledBody | None:
-    """The compiled body for ``definition``, compiling (once) on first
-    use; ``None`` when compilation fell back to the interpreter.
+    """The compiled body for ``definition``, compiling on first use;
+    ``None`` when compilation fell back to the interpreter.
 
     The result is cached on the definition (``compiled_body`` holds the
     :class:`CompiledBody`, or ``False`` after a fallback), so the
-    compile cost is paid once per macro, not per invocation.
+    compile cost is paid once per macro, not per invocation.  A
+    definition with a ``body_key`` first consults the process-wide
+    memo, so a package macro compiles once per process, not once per
+    context.  ``stats`` counts a memo hit like a compile
+    (``bodies_compiled`` / ``compile_fallbacks``), keeping a session's
+    counters independent of what the process ran before;
+    ``compile_time_ms`` counts only real compiles.
     """
     if _DISABLED:
         return None
     body = definition.compiled_body
     if body is None:
-        start = time.perf_counter()
-        try:
-            body = compile_macro_body(definition)
-        except _Uncompilable:
-            body = False
-        except (Ms2Error, Exception):  # noqa: B014 - never break expansion
-            if _DEBUG:
-                raise
-            body = False
+        key = definition.body_key
+        body = None if key is None else _memo_get(key)
+        compile_ms = 0.0
+        if body is None:
+            start = time.perf_counter()
+            body = _compile_or_fallback(definition)
+            compile_ms = (time.perf_counter() - start) * 1000.0
+            if key is not None:
+                _memo_put(key, body)
         definition.compiled_body = body
         if stats is not None:
-            stats.compile_time_ms += (time.perf_counter() - start) * 1000.0
+            stats.compile_time_ms += compile_ms
             if body is False:
                 stats.compile_fallbacks += 1
             else:

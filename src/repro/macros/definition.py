@@ -43,6 +43,10 @@ class MacroDefinition:
         #: ``None`` = not attempted, ``False`` = fell back to the
         #: interpreter, else the :class:`~repro.macros.codegen.CompiledBody`.
         self.compiled_body = None
+        #: Process-wide compiled-body memo key, set by the engine only
+        #: for macros defined while loading a package; ``None`` keeps
+        #: the compiled body private to this definition.
+        self.body_key = None
         #: Monotone definition timestamp, assigned by
         #: :meth:`MacroTable.define`; part of every expansion-cache key.
         self.generation = 0

@@ -14,12 +14,11 @@ from user code.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any
 
 from repro.asttypes.types import ListType
 from repro.cast import decls, nodes, stmts
-from repro.cast.base import Node
+from repro.cast.base import Node, _init_field_names
 from repro.diagnostics import ExpansionBudget
 from repro.errors import ExpansionError, Ms2Error
 from repro.macros.cache import ExpansionCache, ReplayCost
@@ -42,9 +41,9 @@ class Expander:
     """Drives macro expansion over parsed ASTs.
 
     When ``cache`` is supplied, invocations of macros certified pure
-    by :func:`repro.analysis.analyze_macro_purity` are memoized: a
-    repeat invocation with structurally equal actuals replays the
-    stored result (deep-copied, fresh locations and marks) instead of
+    by :func:`repro.analysis.analyze_macro_purity` are memoized: from
+    the third invocation with structurally equal actuals on, the stored
+    result replays (deep-copied, fresh locations and marks) instead of
     re-running the meta-program.  A replay charges the budget and the
     depth limit with what the fresh expansion did; when that would
     overrun one, the invocation is re-expanded so the error is the
@@ -95,9 +94,11 @@ class Expander:
         self, invocation: nodes.MacroInvocation
     ) -> Node | list[Node]:
         """Run one invocation; returns the replacement AST(s)."""
-        definition: MacroDefinition | None = invocation.definition
-        if definition is None:
-            definition = self.table.lookup(invocation.name)
+        # By name first: an invocation built by a body compiled in
+        # another context carries that context's definition.
+        definition: MacroDefinition | None = (
+            self.table.lookup(invocation.name) or invocation.definition
+        )
         if definition is None:
             raise ExpansionError(
                 f"invocation of unknown macro {invocation.name!r}",
@@ -347,17 +348,15 @@ class Expander:
     def _expand_children(self, node: Node) -> Node:
         kwargs: dict[str, Any] = {}
         changed = False
-        for f in dataclasses.fields(node):
-            if not f.init:
-                continue
-            value = getattr(node, f.name)
+        for name in _init_field_names(node):
+            value = getattr(node, name)
             if isinstance(value, Node):
                 result = self.expand_tree(value)
                 if isinstance(result, list):
-                    result = self._wrap_list(node, f.name, result)
+                    result = self._wrap_list(node, name, result)
                 if result is not value:
                     changed = True
-                kwargs[f.name] = result
+                kwargs[name] = result
             elif isinstance(value, list):
                 out: list[Any] = []
                 for item in value:
@@ -372,9 +371,9 @@ class Expander:
                             out.append(result)
                     else:
                         out.append(item)
-                kwargs[f.name] = out
+                kwargs[name] = out
             else:
-                kwargs[f.name] = value
+                kwargs[name] = value
         if not changed:
             return node
         return type(node)(**kwargs)

@@ -38,7 +38,8 @@ class PipelineStats:
     interpreted_parses: int = 0
 
     # -- body compiler (repro.macros.codegen) --------------------------
-    #: Macro bodies lowered to Python (once per definition).
+    #: Macro bodies lowered to Python (once per definition; a body
+    #: reused from the process-wide memo counts too).
     bodies_compiled: int = 0
     #: Backquote templates lowered inside those bodies.
     templates_compiled: int = 0
@@ -46,7 +47,7 @@ class PipelineStats:
     #: definition; the construct that punted stays interpreted).
     compile_fallbacks: int = 0
     #: Wall milliseconds spent compiling bodies (successes and
-    #: fallbacks both; paid once per definition, then amortized).
+    #: fallbacks both; memo hits cost nothing here).
     compile_time_ms: float = 0.0
 
     # -- expander -------------------------------------------------------

@@ -100,6 +100,8 @@ class TestCacheCorruptionFuzz:
     def _primed(self):
         mp = MacroProcessor()
         mp.load(self.SRC)
+        # The second sighting stores; the caller's run is the third.
+        mp.expand_to_c("void f(void) { Twice {a();} }")
         expected = mp.expand_to_c("void f(void) { Twice {a();} }")
         assert mp.cache._entries
         return mp, expected

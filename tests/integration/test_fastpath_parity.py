@@ -235,7 +235,7 @@ class TestFastPathParity:
         )
 
     def test_repeat_invocations_hit_cache_without_changing_output(self):
-        src = "void f() {\n" + "unroll (3) { a[i] = i; }\n" * 5 + "}\n"
+        src = "void f() {\n" + "unroll (3) { a[i] = i; }\n" * 6 + "}\n"
         mp = MacroProcessor()
         packages.loops.register(mp)
         fast = mp.expand_to_c(src)

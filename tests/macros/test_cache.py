@@ -59,6 +59,7 @@ class TestReplaySemantics:
     def test_hit_is_a_fresh_tree(self):
         mp = MacroProcessor()
         mp.load(self.SOURCE)
+        mp.expand_to_ast("void e(void) { wrap(1); }")
         first = mp.expand_to_ast("void f(void) { wrap(1); }")
         second = mp.expand_to_ast("void g(void) { wrap(1); }")
         assert mp.stats.cache_hits == 1
@@ -71,6 +72,7 @@ class TestReplaySemantics:
     def test_replay_relocates_to_invocation_site(self):
         mp = MacroProcessor()
         mp.load(self.SOURCE)
+        mp.expand_to_ast("void e(void) {\n wrap(1);\n}")
         mp.expand_to_ast("void f(void) {\n wrap(1);\n}")
         unit = mp.expand_to_ast("void g(void) {\n\n\n wrap(1);\n}")
         assert mp.stats.cache_hits == 1
@@ -85,6 +87,7 @@ class TestReplaySemantics:
 
         mp = MacroProcessor()
         mp.load(self.SOURCE)
+        mp.expand_to_ast("void e(void) {\n wrap(1);\n}", "first.c")
         mp.expand_to_ast("void f(void) {\n wrap(1);\n}", "first.c")
         unit = mp.expand_to_ast(
             "void g(void) {\n\n\n wrap(1);\n}", "second.c"
@@ -121,11 +124,11 @@ class TestReplaySemantics:
         mp = MacroProcessor()
         mp.load(self.SOURCE)
         unit = mp.expand_to_ast(
-            "void f(void) { wrap(1); wrap(1); wrap(1); }"
+            "void f(void) { wrap(1); wrap(1); wrap(1); wrap(1); }"
         )
         assert mp.stats.cache_hits == 2
         marks = {s.mark for s in unit.items[0].body.stmts}
-        assert len(marks) == 3
+        assert len(marks) == 4
 
     def test_different_arguments_miss(self):
         mp = MacroProcessor()
@@ -143,6 +146,53 @@ class TestReplaySemantics:
         a = mp.table.lookup("a")
         b = mp.table.lookup("b")
         assert a.generation != b.generation
+
+
+class TestSecondSightingAdmission:
+    """A key's first fresh expansion records only the key, its second
+    stores the snapshot, and the third invocation replays it."""
+
+    SOURCE = TestReplaySemantics.SOURCE
+
+    def test_one_sighting_stores_nothing(self):
+        mp = MacroProcessor()
+        mp.load(self.SOURCE)
+        mp.expand_to_c("void f(void) { wrap(1); }")
+        assert len(mp.cache) == 0
+        assert mp.stats.cache_misses == 1
+
+    def test_second_stores_and_third_hits(self):
+        mp = MacroProcessor()
+        mp.load(self.SOURCE)
+        mp.expand_to_c("void f(void) { wrap(1); wrap(1); }")
+        assert len(mp.cache) == 1
+        assert mp.stats.cache_hits == 0
+        mp.expand_to_c("void g(void) { wrap(1); }")
+        assert mp.stats.cache_hits == 1
+        assert mp.stats.cache_misses == 2
+
+    def test_store_admits_on_second_call(self):
+        from repro.macros.cache import ExpansionCache
+
+        cache = ExpansionCache()
+        result = nodes.Identifier("x")
+        cache.store("k", result)
+        assert len(cache) == 0 and cache.lookup("k") is None
+        cache.store("k", result)
+        assert len(cache) == 1 and cache.lookup("k") is not None
+
+    def test_clear_forgets_sightings(self):
+        from repro.macros.cache import ExpansionCache
+
+        cache = ExpansionCache()
+        result = nodes.Identifier("x")
+        cache.store("k", result)
+        cache.store("k", result)
+        cache.clear()
+        cache.store("k", result)
+        assert len(cache) == 0
+        cache.store("k", result)
+        assert len(cache) == 1
 
 
 class TestPurityGating:
@@ -186,13 +236,31 @@ class TestPurityGating:
         assert mp.stats.cache_uncacheable == 2
         assert "1" in out and "2" in out
 
+    def test_template_invoking_impure_macro_never_cached(self):
+        """A template's invocations expand into the result, so a macro
+        invoking a ``metadcl``-touching macro is impure too."""
+        mp = MacroProcessor()
+        mp.load(
+            "metadcl int n;\n"
+            "syntax exp tick {| ( ) |} { n = n + 1; return(make_num(n)); }\n"
+            "syntax exp outer {| ( ) |} { return(`(tick() + 0)); }"
+        )
+        out = mp.expand_to_c(
+            "int a = outer(); int b = outer(); int c = outer();"
+        )
+        assert mp.stats.cache_hits == 0
+        assert "1 + 0" in out and "2 + 0" in out and "3 + 0" in out
+        assert not mp.table.lookup("outer").purity.cacheable
+
     def test_pure_meta_function_call_is_cacheable(self):
         mp = MacroProcessor()
         mp.load(
             "@exp dbl(@exp e) { return(`($e + $e)); }\n"
             "syntax exp twice {| ( $$exp::e ) |} { return(dbl(e)); }"
         )
-        mp.expand_to_c("int a = twice(q); int b = twice(q);")
+        mp.expand_to_c(
+            "int a = twice(q); int b = twice(q); int c = twice(q);"
+        )
         assert mp.stats.cache_hits == 1
 
     def test_semantic_builtins_never_cached(self):
@@ -236,14 +304,15 @@ class TestStatsWiring:
         mp = MacroProcessor()
         loops.register(mp)
         mp.expand_to_c(
-            "void f() { unroll (2) {a();} unroll (2) {a();} }"
+            "void f() { unroll (2) {a();} unroll (2) {a();} "
+            "unroll (2) {a();} }"
         )
         s = mp.stats
-        assert s.cache_hits == 1 and s.cache_misses == 1
-        assert s.cache_hit_rate() == 0.5
-        assert s.compiled_parses == 2
-        assert s.dispatch_hits == 2
-        assert s.expansions == 2
+        assert s.cache_hits == 1 and s.cache_misses == 2
+        assert s.cache_hit_rate() == pytest.approx(1 / 3)
+        assert s.compiled_parses == 3
+        assert s.dispatch_hits == 3
+        assert s.expansions == 3
         assert s.tokens_scanned > 0
         assert s.tokens_interned > 0
 
@@ -267,6 +336,8 @@ class TestReplayHardening:
     def _primed(self):
         mp = MacroProcessor()
         mp.load(self.SRC)
+        # The second sighting stores; the caller's run is the third.
+        mp.expand_to_c(self.PROG)
         mp.expand_to_c(self.PROG)
         assert len(mp.cache) == 1
         return mp
@@ -359,7 +430,10 @@ class TestReplayChargesLikeReexpansion:
         assert cached == uncached
 
     def test_hits_still_fire_within_budget(self):
-        _, hits = self._outcome(self.PKG, self.PROG, max_expansions=6)
+        # Two fresh ``outer`` expansions (the second admits it), then
+        # two hits, each charged outer's 2 expansions: 8 in all.
+        prog = self.PROG + " int d = outer();"
+        _, hits = self._outcome(self.PKG, prog, max_expansions=8)
         assert hits == 2
 
     def test_depth_limit_parity(self):

@@ -10,6 +10,14 @@ tests pin down the contract construct by construct.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
 from repro import MacroProcessor, Ms2Options
@@ -270,3 +278,235 @@ class TestSemanticsNeutralOptions:
         # Dynamic-type error messages print type(v).__name__; a
         # compiled closure must not leak its implementation class.
         assert codegen.CompiledClosure.__name__ == "Closure"
+
+
+# ---------------------------------------------------------------------------
+# The process-wide compiled-body memo
+# ---------------------------------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Units for the hermeticity check: (packages, package sources,
+#: program, option fields).  B recovers from a bad invocation, so its
+#: outcome carries diagnostics.
+MEMO_UNITS = {
+    "A": (
+        ("loops", "exceptions", "painting-protected"),
+        (),
+        "void f(void) { unroll (3) { a(); } unroll (3) { a(); }\n"
+        "  unroll (3) { a(); } for_range k = 0 to 3 { b(k); }\n"
+        "  catch oops { fix(); } { throw oops; }\n"
+        "  Painting { draw(); } }",
+        {},
+    ),
+    "B": (
+        ("loops",),
+        (("extra.ms2", "syntax exp sq {| ( $$exp::e ) |}"
+          " { return(`(($e) * ($e))); }"),),
+        "int x = sq(2) + sq(2) + sq(2);\n"
+        "void g(void) { unroll (-1) { c(); } swap (int, p, q); }",
+        {"recover": True, "hygienic": True},
+    ),
+}
+
+
+def memo_outcome(name: str) -> dict:
+    """Bytes, diagnostics and session counters of one ``api.expand``
+    of a :data:`MEMO_UNITS` entry.  Two counters are left out:
+    ``compile_time_ms`` (a memo hit compiles nothing) and
+    ``tokens_interned``, which counts hits in the interpreter-wide
+    ``sys.intern`` table and so depends on what the process saw."""
+    from repro.api import expand
+
+    names, sources, program, fields = MEMO_UNITS[name]
+    result = expand(
+        program, f"{name}.c", options=Ms2Options(**fields),
+        packages=names, package_sources=sources,
+    )
+    stats = result.stats.to_json()
+    del stats["compile_time_ms"], stats["tokens_interned"]
+    return {
+        "output": result.output,
+        "diagnostics": [d.render() for d in result.diagnostics],
+        "stats": stats,
+    }
+
+
+class TestProcessWideMemo:
+    def test_a_b_a_matches_fresh_processes(self):
+        in_process = [memo_outcome(n) for n in ("A", "B", "A")]
+        fresh = {}
+        for name in ("A", "B"):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import json, sys\n"
+                 "from tests.macros.test_codegen import memo_outcome\n"
+                 "print(json.dumps(memo_outcome(sys.argv[1])))",
+                 name],
+                cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                    [str(REPO_ROOT / "src"), str(REPO_ROOT)])),
+            )
+            assert proc.returncode == 0, proc.stderr
+            fresh[name] = json.loads(proc.stdout)
+        assert fresh["B"]["diagnostics"]
+        assert fresh["A"]["stats"]["bodies_compiled"] > 0
+        assert in_process == [fresh["A"], fresh["B"], fresh["A"]]
+
+    def test_same_name_different_bodies_never_share(self):
+        program = "int x = m();"
+        outs = []
+        for value in (1, 2, 1, 2):
+            mp = MacroProcessor()
+            mp.load(
+                f"syntax exp m {{| ( ) |}} {{ return(`({value})); }}",
+                "same.ms2",
+            )
+            outs.append(mp.expand_to_c(program))
+        assert "1" in outs[0] and "2" in outs[1]
+        assert outs == [outs[0], outs[1], outs[0], outs[1]]
+
+    def test_equal_history_shares_one_body(self):
+        bodies = []
+        for _ in range(2):
+            mp = MacroProcessor()
+            mp.load(TestStatsAndCaching.MACRO, "shared.ms2")
+            mp.expand_to_c("int a = three();")
+            assert mp.stats.bodies_compiled == 1
+            bodies.append(mp.table.lookup("three").compiled_body)
+        assert bodies[0] is bodies[1]
+
+    def test_shared_body_invokes_this_contexts_macros(self):
+        """A body compiled in one context builds invocations of that
+        context's definitions; expansion must use its own, whose
+        purity reflects its own meta-function redefinitions."""
+        pkg = (
+            "metadcl int n;\n"
+            "@exp f() { return(`(1)); }\n"
+            "syntax exp inner {| ( ) |} { return(f()); }\n"
+            "syntax exp outer {| ( ) |} { return(`(inner() + 0)); }\n"
+        )
+        prog = (
+            "@exp f() { n = n + 1; return(make_num(n)); }\n"
+            "int a = outer(); int b = outer(); int c = outer();"
+        )
+        warm = MacroProcessor()
+        warm.load(pkg, "pkg.ms2")
+        warm.expand_to_c("int z = outer();")
+        outs = []
+        for options in (Ms2Options(), Ms2Options(cache=False)):
+            mp = MacroProcessor(options=options)
+            mp.load(pkg, "pkg.ms2")
+            outs.append(mp.expand_to_c(prog))
+        assert outs[0] == outs[1]
+        assert "3 + 0" in outs[0]
+
+    def test_key_covers_options_and_history(self):
+        def key(options=None, before=None):
+            mp = MacroProcessor(options=options)
+            if before is not None:
+                mp.load(before, "before.ms2")
+            mp.load(TestStatsAndCaching.MACRO, "shared.ms2")
+            return mp.table.lookup("three").body_key
+
+        plain = key()
+        assert plain is not None
+        assert key(Ms2Options(hygienic=True)) != plain
+        assert key(before="metadcl int n;") != plain
+        # Unhashed fast-path options compile the same body.
+        assert key(Ms2Options(cache=False)) == plain
+
+    def test_program_macros_and_later_loads_get_no_key(self):
+        mp = MacroProcessor()
+        mp.expand_to_c(TestStatsAndCaching.MACRO + "\nint a = three();")
+        assert mp.table.lookup("three").body_key is None
+        # A program run changes parse state, so later loads are
+        # private to this context too.
+        mp.load("syntax exp four {| ( ) |} { return(`(4)); }")
+        assert mp.table.lookup("four").body_key is None
+
+    def test_failed_load_stops_keying(self):
+        mp = MacroProcessor()
+        with pytest.raises(Ms2Error):
+            mp.load("syntax exp ok {| ( ) |} { return(`(1)); }\n"
+                    "syntax exp bad {| ( ) |} { return(`(1 +)); }")
+        assert mp.table.lookup("ok").body_key is not None
+        mp.load("syntax exp later {| ( ) |} { return(`(2)); }")
+        assert mp.table.lookup("later").body_key is None
+
+    def test_memo_stays_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(codegen, "BODY_MEMO_SIZE", 4)
+        for i in range(10):
+            mp = MacroProcessor()
+            mp.load(
+                f"syntax exp n{i} {{| ( ) |}} {{ return(`({i})); }}",
+                "bound.ms2",
+            )
+            assert f"= {i};" in mp.expand_to_c(f"int x = n{i}();")
+            assert len(codegen._BODY_MEMO) <= 4
+
+    def test_memo_hit_counts_like_a_compile(self):
+        codegen.clear_body_memo()
+        runs = []
+        for _ in range(2):
+            mp = MacroProcessor()
+            mp.load(TestFallbacks.SWITCH_MACRO + "\n" + TestStatsAndCaching.MACRO)
+            mp.expand_to_c("int r = pick(1); int a = three();")
+            runs.append(mp.stats)
+        first, second = runs
+        assert (first.bodies_compiled, first.compile_fallbacks) == (1, 1)
+        assert (second.bodies_compiled, second.compile_fallbacks) == (1, 1)
+        assert second.templates_compiled == first.templates_compiled
+        assert first.compile_time_ms > 0
+        assert second.compile_time_ms == 0
+
+    def test_threads_share_the_memo_byte_identically(self, monkeypatch):
+        """More threads than cores expanding fresh contexts while the
+        memo churns at a tiny bound: every output stays identical to
+        the interpreter's."""
+        from repro.api import expand
+
+        units = [
+            (("loops",), "void f(void) { unroll (2) { a(); } }"),
+            (("exceptions",), "void f(void) { catch e { h(); } { throw e; } }"),
+            (("loops", "exceptions"),
+             "void f(void) { for_range k = 0 to 2 { unroll (2) { b(k); } } }"),
+        ]
+        slow = Ms2Options(compiled_bodies=False, cache=False)
+        expected = [
+            expand(src, options=slow, packages=names).output
+            for names, src in units
+        ]
+        monkeypatch.setattr(codegen, "BODY_MEMO_SIZE", 3)
+        deadline = time.monotonic() + 2.0
+        failures: list[str] = []
+
+        def worker(offset: int) -> None:
+            i = offset
+            while time.monotonic() < deadline and not failures:
+                names, src = units[i % len(units)]
+                try:
+                    out = expand(src, packages=names).output
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(repr(exc))
+                    return
+                if out != expected[i % len(units)]:
+                    failures.append(f"unit {i % len(units)} diverged")
+                i += 1
+
+        threads = [
+            threading.Thread(target=worker, args=(n,))
+            for n in range(2 * (os.cpu_count() or 1) + 2)
+        ]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(codegen._BODY_MEMO) <= 3

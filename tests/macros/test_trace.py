@@ -47,9 +47,11 @@ class TestSpans:
     def test_cache_hit_recorded(self):
         mp = MacroProcessor(options=Ms2Options(trace=True))
         mp.load(TWICE)
-        mp.expand_to_c("int a = twice(q); int b = twice(q);")
+        mp.expand_to_c(
+            "int a = twice(q); int b = twice(q); int c = twice(q);"
+        )
         statuses = [s.cache for s in mp.tracer.roots]
-        assert statuses == ["miss", "hit"]
+        assert statuses == ["miss", "miss", "hit"]
 
     def test_interpreted_parse_mode_recorded(self):
         mp = MacroProcessor(
