@@ -1,12 +1,10 @@
 """Cold-path cost of macro body evaluation: interpreter vs compiler.
 
 The body/template compiler (:mod:`repro.macros.codegen`) targets the
-*baseline* dimension every cache-oriented BENCH number divides by: a
-cache-off expansion used to tree-walk the meta-interpreter for every
-invocation.  This benchmark records that dimension — each workload
-expanded cold (``cache=False``) with ``compiled_bodies`` off and on —
-plus compile-time amortization (the 1st invocation pays the one-time
-lowering to Python, the Nth only the generated code).
+cache-off expansion, which used to tree-walk the meta-interpreter for
+every invocation.  These benchmarks expand each workload cold
+(``cache=False``) with ``compiled_bodies`` off and on, and assert
+byte parity between the two.
 
 Workloads come in two flavours:
 
@@ -19,27 +17,18 @@ Workloads come in two flavours:
   where the meta-program itself is the cost and compilation pays off
   an order of magnitude.
 
-Results append to ``BENCH_expansion.json`` under a ``baseline`` key
-(the cache trajectory under ``trajectory`` is left untouched):
-
-    BENCH_SMOKE=1 python benchmarks/test_body_compile.py
+End-to-end timings of the shipping configuration live in
+``perfbench/``.
 """
 
-import json
-import os
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
 from repro import MacroProcessor, Ms2Options
-from repro.macros.codegen import clear_body_memo
 
-try:
-    from .test_expansion_throughput import REPEATED_WORKLOADS, _expand
-except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-    from test_expansion_throughput import REPEATED_WORKLOADS, _expand
+from .test_expansion_throughput import REPEATED_WORKLOADS, _expand
 
 # ---------------------------------------------------------------------------
 # Compute-heavy workloads: meta-evaluation IS the cold-path cost
@@ -109,70 +98,6 @@ def _workload_runner(name: str, smoke: bool):
     return run
 
 
-def measure_baseline(smoke: bool = False) -> dict:
-    """Cold (cache-off) expansion per workload, bodies interpreted vs
-    compiled; byte-parity is asserted before timing."""
-    repeats = 3 if smoke else 9
-    workloads = {}
-    names = list(REPEATED_WORKLOADS) + list(COMPUTE_WORKLOADS)
-    for name in names:
-        run = _workload_runner(name, smoke)
-        slow_out, _ = run(compiled_bodies=False)
-        fast_out, stats = run(compiled_bodies=True)
-        assert fast_out == slow_out, f"parity failure on {name!r}"
-        slow = _median(lambda: run(compiled_bodies=False), repeats)
-        fast = _median(lambda: run(compiled_bodies=True), repeats)
-        workloads[name] = {
-            "interpreted_ms": round(slow * 1000, 2),
-            "compiled_ms": round(fast * 1000, 2),
-            "speedup": round(slow / fast, 2),
-            "bodies_compiled": stats.bodies_compiled,
-            "templates_compiled": stats.templates_compiled,
-            "compile_fallbacks": stats.compile_fallbacks,
-        }
-    return {
-        "smoke": smoke,
-        "workloads": workloads,
-        "amortization": measure_amortization(smoke=smoke),
-    }
-
-
-def measure_amortization(smoke: bool = False) -> dict:
-    """1st vs Nth invocation on one processor: the first expansion
-    pays the one-time body lowering (tracked in ``compile_time_ms``),
-    later ones only run the generated code."""
-    repeats = 3 if smoke else 9
-    source, program = COMPUTE_WORKLOADS["ct-fold"]
-    # Earlier workloads loaded this source too: forget their bodies so
-    # the first expansion pays a real compile, not a memo hit.
-    clear_body_memo()
-    mp = MacroProcessor(options=Ms2Options(cache=False))
-    mp.load(source)
-    start = time.perf_counter()
-    mp.expand_to_c(program)
-    first = time.perf_counter() - start
-    steady = _median(lambda: mp.expand_to_c(program), repeats)
-    return {
-        "workload": "ct-fold",
-        "first_ms": round(first * 1000, 2),
-        "steady_ms": round(steady * 1000, 2),
-        "first_over_steady": round(first / steady, 2),
-        "compile_time_ms": round(mp.stats.compile_time_ms, 2),
-    }
-
-
-def emit_baseline(path: Path, smoke: bool = False) -> dict:
-    """Append one ``baseline`` point to BENCH_expansion.json (the
-    cache ``trajectory`` list is preserved untouched)."""
-    point = measure_baseline(smoke=smoke)
-    data = {}
-    if path.exists():
-        data = json.loads(path.read_text())
-    data.setdefault("baseline", []).append(point)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    return point
-
-
 # ---------------------------------------------------------------------------
 # pytest-benchmark + correctness-side assertions
 # ---------------------------------------------------------------------------
@@ -215,25 +140,3 @@ class TestBodyCompileBehaviour:
             lambda: _expand_custom(source, program), 3
         )
         assert fast < slow
-
-    def test_emit_baseline_smoke(self, tmp_path):
-        path = tmp_path / "BENCH_expansion.json"
-        path.write_text(json.dumps({"trajectory": [{"smoke": True}]}))
-        point = emit_baseline(path, smoke=True)
-        assert set(point["workloads"]) == set(ALL_WORKLOADS)
-        for numbers in point["workloads"].values():
-            assert numbers["speedup"] > 0
-            assert numbers["compile_fallbacks"] == 0
-        data = json.loads(path.read_text())
-        assert data["trajectory"] == [{"smoke": True}]
-        assert len(data["baseline"]) == 1
-        assert point["amortization"]["first_over_steady"] >= 1
-
-
-if __name__ == "__main__":
-    out = Path(
-        os.environ.get("BENCH_EXPANSION_JSON", "BENCH_expansion.json")
-    )
-    smoke_mode = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-    result = emit_baseline(out, smoke=smoke_mode)
-    print(json.dumps(result, indent=2))

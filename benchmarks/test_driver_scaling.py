@@ -1,6 +1,6 @@
 """Batch-driver scaling: cold vs warm cache, sequential vs ``-j N``.
 
-The workload is a generated 50-file corpus (8 under ``BENCH_SMOKE``)
+The workload is a generated 50-file corpus (8 in the smoke-size tests)
 of macro-heavy translation units over the standard loop and exception
 packages — the shape of build the paper's "large scale experiments"
 would have run.  Three configurations per point:
@@ -13,14 +13,12 @@ would have run.  Three configurations per point:
   ``cpu_count`` because ``-j`` can only buy wall-clock time when the
   host has cores to run the workers on.
 
-Run standalone to append a point to ``BENCH_expansion.json``::
-
-    PYTHONPATH=src python benchmarks/test_driver_scaling.py
+The recorded build timings (cold, local-warm, remote-warm) come from
+``perfbench/``; these tests check the shape of the result.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -99,21 +97,8 @@ def measure_driver(tmp_root: Path, smoke: bool = False) -> dict:
     }
 
 
-def emit_trajectory(path: Path, tmp_root: Path, smoke: bool = False) -> dict:
-    """Append a driver-scaling point to the shared trajectory file."""
-    point = {"smoke": smoke, "driver": measure_driver(tmp_root, smoke=smoke)}
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text()).get("trajectory", [])
-    trajectory.append(point)
-    path.write_text(
-        json.dumps({"trajectory": trajectory}, indent=2) + "\n"
-    )
-    return point
-
-
 # ---------------------------------------------------------------------------
-# pytest coverage (kept timing-tolerant; the JSON point is the record)
+# pytest coverage (kept timing-tolerant; perfbench is the record)
 # ---------------------------------------------------------------------------
 
 
@@ -138,17 +123,3 @@ def test_driver_build(benchmark, tmp_path: Path, mode: str) -> None:
 
     report = benchmark(run)
     assert report.ok
-
-
-if __name__ == "__main__":
-    import sys
-    import tempfile
-
-    smoke = bool(os.environ.get("BENCH_SMOKE"))
-    out = Path(
-        os.environ.get("BENCH_EXPANSION_JSON", "BENCH_expansion.json")
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        point = emit_trajectory(out, Path(tmp), smoke=smoke)
-    json.dump(point, sys.stdout, indent=2)
-    print()

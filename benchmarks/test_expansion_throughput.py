@@ -7,12 +7,6 @@ macro use, plus the per-invocation cost of each standard package
 macro.
 """
 
-import json
-import os
-import statistics
-import time
-from pathlib import Path
-
 import pytest
 
 from repro import MacroProcessor, Ms2Options
@@ -177,133 +171,10 @@ def _load_named(mp: MacroProcessor, names) -> None:
         mp.load(getattr(packages, name).SOURCE)
 
 
-def _expand(src: str, pkg_names, recover: bool = False, **kwargs):
-    mp = MacroProcessor(options=Ms2Options(recover=recover, **kwargs))
+def _expand(src: str, pkg_names, **kwargs):
+    mp = MacroProcessor(options=Ms2Options(**kwargs))
     _load_named(mp, pkg_names)
-    if recover:
-        out, _ = mp.expand_to_c(src)
-    else:
-        out = mp.expand_to_c(src)
-    return out, mp.stats
-
-
-def _median_time(src, pkg_names, repeats, **kwargs) -> float:
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _expand(src, pkg_names, **kwargs)
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
-
-def measure_speedups(smoke: bool = False) -> dict:
-    """Fast defaults vs interpreted/uncached baseline on each
-    repeated-invocation workload.  Returns the trajectory point."""
-    repeats = 3 if smoke else 11
-    scale = 5 if smoke else 1
-    workloads = {}
-    for name, (builder, pkg_names, reps) in REPEATED_WORKLOADS.items():
-        src = builder(max(2, reps // scale))
-        fast_out, fast_stats = _expand(src, pkg_names)
-        slow_out, _ = _expand(
-            src, pkg_names, cache=False, compiled_patterns=False
-        )
-        assert fast_out == slow_out, f"parity failure on {name!r}"
-        fast = _median_time(src, pkg_names, repeats)
-        slow = _median_time(
-            src, pkg_names, repeats, cache=False, compiled_patterns=False
-        )
-        workloads[name] = {
-            "fast_ms": round(fast * 1000, 2),
-            "baseline_ms": round(slow * 1000, 2),
-            "speedup": round(slow / fast, 2),
-            "cache_hit_rate": fast_stats.cache_hit_rate(),
-            "expansions": fast_stats.expansions,
-        }
-    return {
-        "smoke": smoke,
-        "workloads": workloads,
-        "observability": measure_observability_overhead(smoke=smoke),
-        "recovery": measure_recovery_overhead(smoke=smoke),
-    }
-
-
-def measure_observability_overhead(smoke: bool = False) -> dict:
-    """Cost of the tracing/profiling instrumentation on pure-unroll.
-
-    ``disabled_ms`` is the default configuration (tracer and profiler
-    are ``None``; hot paths pay one None check each) — the number the
-    <2%-overhead budget is judged against.  ``enabled_ms`` turns the
-    full span tracer and phase profiler on.
-    """
-    repeats = 3 if smoke else 11
-    scale = 5 if smoke else 1
-    builder, pkg_names, reps = REPEATED_WORKLOADS["pure-unroll"]
-    src = builder(max(2, reps // scale))
-    disabled = _median_time(src, pkg_names, repeats)
-    enabled = _median_time(
-        src, pkg_names, repeats, trace=True, profile=True
-    )
-    return {
-        "workload": "pure-unroll",
-        "disabled_ms": round(disabled * 1000, 2),
-        "enabled_ms": round(enabled * 1000, 2),
-        "enabled_overhead": round(enabled / disabled - 1, 4),
-    }
-
-
-def measure_recovery_overhead(smoke: bool = False) -> dict:
-    """Cost of the fault-tolerance machinery on pure-unroll.
-
-    ``disabled_ms`` is the default fail-fast configuration (no
-    diagnostic sink; the parser and expander pay one None check per
-    recovery point) — the number the <=2%-slowdown budget is judged
-    against, via ``regression_vs_last`` relative to the previous
-    trajectory point.  ``enabled_ms`` runs the same clean input with
-    ``recover=True``, which on a fault-free program differs only in
-    sink setup and the wrapped try blocks.
-    """
-    repeats = 3 if smoke else 11
-    scale = 5 if smoke else 1
-    builder, pkg_names, reps = REPEATED_WORKLOADS["pure-unroll"]
-    src = builder(max(2, reps // scale))
-    disabled = _median_time(src, pkg_names, repeats)
-    enabled = _median_time(src, pkg_names, repeats, recover=True)
-    return {
-        "workload": "pure-unroll",
-        "disabled_ms": round(disabled * 1000, 2),
-        "enabled_ms": round(enabled * 1000, 2),
-        "enabled_overhead": round(enabled / disabled - 1, 4),
-    }
-
-
-def emit_trajectory(path: Path, smoke: bool = False) -> dict:
-    """Append one measurement point to the BENCH_expansion.json
-    trajectory file (created if missing)."""
-    point = measure_speedups(smoke=smoke)
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text()).get("trajectory", [])
-    # Disabled-observability regression vs the previous comparable
-    # point (negative = this point is faster).
-    for prev in reversed(trajectory):
-        if prev.get("smoke") != smoke:
-            continue
-        prev_fast = prev["workloads"].get("pure-unroll", {}).get("fast_ms")
-        if prev_fast:
-            regression = round(
-                point["workloads"]["pure-unroll"]["fast_ms"] / prev_fast
-                - 1,
-                4,
-            )
-            point["observability"]["regression_vs_last"] = regression
-            point["recovery"]["regression_vs_last"] = regression
-        break
-    trajectory.append(point)
-    path.write_text(
-        json.dumps({"trajectory": trajectory}, indent=2) + "\n"
-    )
-    return point
+    return mp.expand_to_c(src), mp.stats
 
 
 @pytest.mark.benchmark(group="repeated-invocation")
@@ -337,18 +208,3 @@ class TestFastPathBehaviour:
         assert fast_out == slow_out
         assert stats.cache_hits > 0
         assert stats.compiled_parses > 0
-
-    def test_emit_trajectory_smoke(self, tmp_path):
-        point = emit_trajectory(tmp_path / "BENCH_expansion.json", smoke=True)
-        assert set(point["workloads"]) == set(REPEATED_WORKLOADS)
-        for numbers in point["workloads"].values():
-            assert numbers["speedup"] > 0
-
-
-if __name__ == "__main__":
-    out = Path(
-        os.environ.get("BENCH_EXPANSION_JSON", "BENCH_expansion.json")
-    )
-    smoke_mode = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-    result = emit_trajectory(out, smoke=smoke_mode)
-    print(json.dumps(result, indent=2))

@@ -3,7 +3,7 @@
 The distributed cache's promise is that one machine's cold build is
 every other machine's warm build.  This benchmark measures the three
 configurations on the driver-scaling corpus (50 generated files, 8
-under ``BENCH_SMOKE``) against an in-process authority daemon:
+in the smoke-size test) against an in-process authority daemon:
 
 - **cold** — empty local dir, empty authority: every file pays the
   full pipeline and publishes its snapshot to the daemon;
@@ -13,30 +13,21 @@ under ``BENCH_SMOKE``) against an in-process authority daemon:
   file replays over ``cache_get`` and is promoted locally (the
   acceptance bar is >= 5x over cold at full size).
 
-Run standalone to append a point to ``BENCH_expansion.json``::
-
-    PYTHONPATH=src python benchmarks/test_remote_cache.py
+The recorded build timings come from ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import threading
 import time
 from pathlib import Path
 
 from repro.driver import BuildSession, CacheConfig
 
-try:  # pytest imports this file as benchmarks.test_remote_cache
-    from benchmarks.test_driver_scaling import (
-        CORPUS_FILES, SMOKE_FILES, driver_corpus,
-    )
-except ImportError:  # standalone: python benchmarks/test_remote_cache.py
-    from test_driver_scaling import (
-        CORPUS_FILES, SMOKE_FILES, driver_corpus,
-    )
+from benchmarks.test_driver_scaling import (
+    CORPUS_FILES, SMOKE_FILES, driver_corpus,
+)
 
 
 class _AuthorityDaemon:
@@ -135,24 +126,8 @@ def measure_remote_cache(tmp_root: Path, smoke: bool = False) -> dict:
     }
 
 
-def emit_trajectory(path: Path, tmp_root: Path, smoke: bool = False) -> dict:
-    """Append a remote-cache point to the shared trajectory file."""
-    point = {
-        "smoke": smoke,
-        "remote_cache": measure_remote_cache(tmp_root, smoke=smoke),
-    }
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text()).get("trajectory", [])
-    trajectory.append(point)
-    path.write_text(
-        json.dumps({"trajectory": trajectory}, indent=2) + "\n"
-    )
-    return point
-
-
 # ---------------------------------------------------------------------------
-# pytest coverage (kept timing-tolerant; the JSON point is the record)
+# pytest coverage (kept timing-tolerant; perfbench is the record)
 # ---------------------------------------------------------------------------
 
 
@@ -163,17 +138,3 @@ def test_remote_warm_beats_cold(tmp_path: Path) -> None:
     # counts are asserted inside measure_remote_cache itself.
     assert point["remote_warm_speedup"] > 1.0, point
     assert point["files"] == SMOKE_FILES
-
-
-if __name__ == "__main__":
-    import sys
-    import tempfile
-
-    smoke = bool(os.environ.get("BENCH_SMOKE"))
-    out = Path(
-        os.environ.get("BENCH_EXPANSION_JSON", "BENCH_expansion.json")
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        point = emit_trajectory(out, Path(tmp), smoke=smoke)
-    json.dump(point, sys.stdout, indent=2)
-    print()

@@ -13,16 +13,13 @@ benchmark measures both on the same corpus file:
   per-request wall time after one warm-up request.
 
 The acceptance bar for the daemon is warm >= 5x faster than cold.
-
-Run standalone to append a point to ``BENCH_expansion.json``::
-
-    PYTHONPATH=src python benchmarks/test_server_latency.py
+The recorded figures (``cli_cold_ms``, the ``serve`` workload) come
+from ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import statistics
 import subprocess
@@ -139,21 +136,8 @@ def measure_server(tmp_root: Path, smoke: bool = False) -> dict:
     }
 
 
-def emit_trajectory(path: Path, tmp_root: Path, smoke: bool = False) -> dict:
-    """Append a server-latency point to the shared trajectory file."""
-    point = {"smoke": smoke, "server": measure_server(tmp_root, smoke=smoke)}
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text()).get("trajectory", [])
-    trajectory.append(point)
-    path.write_text(
-        json.dumps({"trajectory": trajectory}, indent=2) + "\n"
-    )
-    return point
-
-
 # ---------------------------------------------------------------------------
-# pytest coverage (kept timing-tolerant; the JSON point is the record)
+# pytest coverage (kept timing-tolerant; perfbench is the record)
 # ---------------------------------------------------------------------------
 
 
@@ -169,16 +153,3 @@ def test_warm_requests_hit_prebuilt_workers(tmp_path: Path) -> None:
     samples, _, stats = _warm_server_ms(tmp_path, 5)
     assert len(samples) == 5
     assert stats["workers"]["cold_builds"] <= 1
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    smoke = bool(os.environ.get("BENCH_SMOKE"))
-    out = Path(
-        os.environ.get("BENCH_EXPANSION_JSON", "BENCH_expansion.json")
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        point = emit_trajectory(out, Path(tmp), smoke=smoke)
-    json.dump(point, sys.stdout, indent=2)
-    print()

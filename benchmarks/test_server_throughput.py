@@ -11,21 +11,15 @@ latency percentiles.
 
 On a multi-core host the acceptance bar is N-shard >= 2x 1-shard
 req/s; on a single-core host (``os.cpu_count() == 1``) sharding
-cannot beat the core count, so the bar is gated and the recorded
-point notes the core count it ran on.
+cannot beat the core count, so the bar is gated on the core count.
 
 A chaos leg repeats the N-shard run while SIGKILLing one shard
 mid-load: with retrying clients the bar is **zero** failed requests.
-
-Run standalone to append a point to ``BENCH_expansion.json``::
-
-    PYTHONPATH=src python benchmarks/test_server_throughput.py
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import socket
@@ -219,21 +213,8 @@ def measure_throughput(smoke: bool = False) -> dict:
     }
 
 
-def emit_trajectory(path: Path, smoke: bool = False) -> dict:
-    """Append a fleet-throughput point to the shared trajectory file."""
-    point = {"smoke": smoke, "throughput": measure_throughput(smoke=smoke)}
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text()).get("trajectory", [])
-    trajectory.append(point)
-    path.write_text(
-        json.dumps({"trajectory": trajectory}, indent=2) + "\n"
-    )
-    return point
-
-
 # ---------------------------------------------------------------------------
-# pytest coverage (kept timing-tolerant; the JSON point is the record)
+# pytest coverage (kept timing-tolerant)
 # ---------------------------------------------------------------------------
 
 import pytest  # noqa: E402
@@ -268,13 +249,3 @@ def test_shard_kill_mid_load_loses_zero_requests() -> None:
     assert chaos["failures"] == 0, chaos
     assert chaos["completed"] == chaos["requests"]
     assert chaos["restarts"] >= 1, "the SIGKILL never registered"
-
-
-if __name__ == "__main__":
-    smoke = bool(os.environ.get("BENCH_SMOKE"))
-    out = Path(
-        os.environ.get("BENCH_EXPANSION_JSON", "BENCH_expansion.json")
-    )
-    point = emit_trajectory(out, smoke=smoke)
-    json.dump(point, sys.stdout, indent=2)
-    print()

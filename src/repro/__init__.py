@@ -36,7 +36,7 @@ from repro.diagnostics import Diagnostic, DiagnosticSink, ExpansionBudget
 from repro.engine import MacroProcessor, expand_source
 from repro.options import ExpandResult, Ms2Options
 from repro.provenance import ExpandedLocation, ExpansionSite
-from repro.trace import ExpansionSpan, PhaseProfiler, Tracer
+from repro.trace import ExpansionSpan, Tracer
 from repro.errors import (
     ExpansionBudgetError,
     ExpansionError,
@@ -73,7 +73,6 @@ __all__ = [
     "Ms2Error",
     "ParseError",
     "PatternLookaheadError",
-    "PhaseProfiler",
     "SourceLocation",
     "Tracer",
     "expand_source",

@@ -41,6 +41,7 @@ from repro.engine import MacroProcessor
 from repro.errors import Ms2Error
 from repro.options import Ms2Options
 from repro.packages import PACKAGE_NAMES, register_named
+from repro.trace import profile_table
 
 #: The single source of defaults for every flag below.
 _DEFAULTS = Ms2Options()
@@ -130,10 +131,6 @@ def _add_option_flags(cmd: argparse.ArgumentParser) -> None:
         help="disable the expansion cache (re-run every meta-program)",
     )
     cmd.add_argument(
-        "--profile", action="store_true", default=_DEFAULTS.profile,
-        help="time each pipeline phase; print the table to stderr",
-    )
-    cmd.add_argument(
         "--annotate", action="store_true", default=_DEFAULTS.annotate,
         help="mark macro-generated code with provenance comments and "
         "#line directives",
@@ -171,6 +168,14 @@ def _add_option_flags(cmd: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_profile_flag(cmd: argparse.ArgumentParser, where: str) -> None:
+    cmd.add_argument(
+        "--profile", action="store_true",
+        help="trace the expansion and print per-macro calls, cache "
+        f"hits, inclusive and self milliseconds to {where}",
+    )
+
+
 def options_from_args(args: argparse.Namespace) -> Ms2Options:
     """The one place CLI flags become pipeline configuration.  Flags
     a subcommand doesn't expose fall back to the shared
@@ -201,8 +206,7 @@ def options_from_args(args: argparse.Namespace) -> Ms2Options:
             if deadline_ms is not None
             else _DEFAULTS.deadline_s
         ),
-        trace=getattr(args, "trace", _DEFAULTS.trace),
-        profile=getattr(args, "profile", _DEFAULTS.profile),
+        trace=getattr(args, "profile", _DEFAULTS.trace),
     )
 
 
@@ -225,6 +229,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     _add_package_flag(expand)
     _add_option_flags(expand)
+    _add_profile_flag(expand, "stderr")
     expand.add_argument(
         "--stats", action="store_true",
         help="print pipeline fast-path counters to stderr afterwards",
@@ -339,10 +344,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=_DEFAULTS.cache,
         help="disable the expansion cache (every span shows a miss)",
     )
-    trace.add_argument(
-        "--profile", action="store_true", default=_DEFAULTS.profile,
-        help="also print the per-phase wall-time table",
-    )
+    _add_profile_flag(trace, "stdout, after the span tree")
     trace.add_argument(
         "--jsonl", type=Path, metavar="PATH",
         help="append completed spans to PATH as JSON lines",
@@ -542,8 +544,8 @@ def _cmd_expand_local(args: argparse.Namespace) -> int:
         print(mp.stats.summary(), file=sys.stderr)
     if args.stats_json:
         print(json.dumps(mp.stats.to_json()), file=sys.stderr)
-    if options.profile:
-        print(mp.stats.profile_summary(), file=sys.stderr)
+    if args.profile:
+        print(profile_table(result.spans), file=sys.stderr)
     return 0 if result.ok else 1
 
 
@@ -595,8 +597,8 @@ def _cmd_expand_via_server(args: argparse.Namespace) -> int:
         print(stats.summary(), file=sys.stderr)
     if args.stats_json:
         print(json.dumps(stats.to_json()), file=sys.stderr)
-    if options.profile:
-        print(stats.profile_summary(), file=sys.stderr)
+    if args.profile:
+        print(profile_table(result.spans), file=sys.stderr)
     return 0 if result.ok else 1
 
 
@@ -852,8 +854,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if jsonl_stream is not None:
             jsonl_stream.close()
     print(mp.tracer.render_tree())
-    if options.profile:
-        print(mp.stats.profile_summary())
+    if args.profile:
+        print(profile_table(mp.tracer.roots))
     return 0
 
 

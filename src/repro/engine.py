@@ -44,7 +44,7 @@ from repro.meta.interp import Interpreter
 from repro.options import ExpandResult, Ms2Options
 from repro.parser.core import Parser
 from repro.stats import PipelineStats
-from repro.trace import PhaseProfiler, Tracer
+from repro.trace import Tracer
 
 class MacroProcessor:
     """A complete MS2 macro-processing pipeline.
@@ -77,14 +77,9 @@ class MacroProcessor:
             if options.wants_tracer()
             else None
         )
-        #: Phase-timer aggregator, or None when profiling is off.
-        self.profiler: PhaseProfiler | None = (
-            PhaseProfiler(self.stats) if options.profile else None
-        )
         self.table = MacroTable()
         self.interpreter = Interpreter()
         self.interpreter.stats = self.stats
-        self.interpreter.profiler = self.profiler
         # Hygienic renaming is a whole-program analysis whose
         # decisions depend on the code *surrounding* each invocation,
         # so its results cannot be replayed at other sites: the
@@ -101,7 +96,6 @@ class MacroProcessor:
             cache=self.cache,
             stats=self.stats,
             tracer=self.tracer,
-            profiler=self.profiler,
             budget=self.budget,
             compiled_bodies=options.compiled_bodies,
         )
@@ -249,8 +243,7 @@ class MacroProcessor:
         self._load_history = None
         parser = Parser(
             source, host=self, expand_inline=True, filename=filename,
-            stats=self.stats, profiler=self.profiler,
-            diagnostics=diagnostics,
+            stats=self.stats, diagnostics=diagnostics,
         )
         if self._parser is not None:
             # Later files see typedefs and meta bindings of earlier ones.
@@ -334,14 +327,6 @@ class MacroProcessor:
         ]
         return decls.TranslationUnit(items, loc=unit.loc)
 
-    def _render(self, unit: decls.TranslationUnit) -> str:
-        annotate = self.options.annotate
-        prof = self.profiler
-        if prof is None:
-            return render_c(unit, annotate=annotate)
-        with prof.phase("print"):
-            return render_c(unit, annotate=annotate)
-
     # -- the unified entry point ---------------------------------------
 
     def expand(
@@ -362,7 +347,7 @@ class MacroProcessor:
         unit, diagnostics = self._run_program(source, filename)
         if not self.options.keep_meta:
             unit = self._strip_meta(unit)
-        text = self._render(unit)
+        text = render_c(unit, annotate=self.options.annotate)
         spans = self.tracer.roots[span_start:] if self.tracer else []
         return ExpandResult(
             output=text,
@@ -414,7 +399,9 @@ class MacroProcessor:
         ``/* <error: ...> */`` comments.
         """
         unit, diagnostics = self._run_program(source, filename)
-        text = self._render(self._strip_meta(unit))
+        text = render_c(
+            self._strip_meta(unit), annotate=self.options.annotate
+        )
         return text if diagnostics is None else (text, diagnostics)
 
     # ------------------------------------------------------------------

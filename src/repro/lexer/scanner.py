@@ -121,7 +121,7 @@ class Scanner:
         keywords specially.
     stats:
         Optional :class:`repro.stats.PipelineStats`; when supplied the
-        scanner bumps ``tokens_scanned`` / ``tokens_interned``.
+        scanner bumps ``tokens_scanned``.
     """
 
     def __init__(
@@ -191,24 +191,17 @@ class Scanner:
 
         if group == "ident":
             interned = sys.intern(text)
-            if stats is not None and interned is not text:
-                stats.tokens_interned += 1
             if self.keep_keywords and interned in ALL_KEYWORDS:
                 return Token(TokenKind.KEYWORD, interned, loc)
             return Token(TokenKind.IDENT, interned, loc)
         if group == "punct":
-            interned = sys.intern(text)
-            if stats is not None and interned is not text:
-                stats.tokens_interned += 1
-            return Token(TokenKind.PUNCT, interned, loc)
+            return Token(TokenKind.PUNCT, sys.intern(text), loc)
         if group == "int" or group == "hex":
             return Token(
                 TokenKind.INT_LIT, text, loc, value=_decode_int(text)
             )
         if group == "meta":
             interned = sys.intern(text)
-            if stats is not None and interned is not text:
-                stats.tokens_interned += 1
             return Token(_META_KINDS[interned], interned, loc)
         if group == "str":
             return Token(

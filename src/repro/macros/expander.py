@@ -58,7 +58,6 @@ class Expander:
         cache: ExpansionCache | None = None,
         stats: Any = None,
         tracer: Any = None,
-        profiler: Any = None,
         budget: ExpansionBudget | None = None,
         compiled_bodies: bool = True,
     ) -> None:
@@ -74,8 +73,6 @@ class Expander:
         self.budget = budget
         #: Optional :class:`repro.trace.Tracer` (expansion spans).
         self.tracer = tracer
-        #: Optional :class:`repro.trace.PhaseProfiler`.
-        self.profiler = profiler
         self._mark_counter = 0
         self._depth = 0
         #: Deepest ``_depth`` reached in the current top frame,
@@ -192,11 +189,8 @@ class Expander:
                 for arg in invocation.args
             }
 
-            # Compiled bodies fold template instantiation into the
-            # generated code, so a profiling session (which wants the
-            # meta-eval / template-fill split) keeps the interpreter.
             compiled = None
-            if self.compiled_bodies and self.profiler is None:
+            if self.compiled_bodies:
                 from repro.macros.codegen import get_compiled_body
 
                 compiled = get_compiled_body(definition, self.stats)
@@ -211,19 +205,13 @@ class Expander:
 
             saved_mark = self.interpreter.current_mark
             self.interpreter.current_mark = mark
-            prof = self.profiler
             try:
                 if compiled is not None:
                     result = compiled.call(self.interpreter, bindings)
-                elif prof is None:
+                else:
                     result = self.interpreter.call_macro(
                         definition, bindings
                     )
-                else:
-                    with prof.phase("meta-eval"):
-                        result = self.interpreter.call_macro(
-                            definition, bindings
-                        )
             finally:
                 self.interpreter.current_mark = saved_mark
 

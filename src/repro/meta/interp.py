@@ -61,10 +61,9 @@ class Interpreter:
         #: The C scope live at the invocation site (semantic-macro
         #: substrate, §5); set by the engine before each expansion.
         self.semantic_scope = None
-        #: Optional :class:`~repro.stats.PipelineStats` and
-        #: :class:`~repro.trace.PhaseProfiler`, hooked up by the engine.
+        #: Optional :class:`~repro.stats.PipelineStats`, hooked up by
+        #: the engine.
         self.stats = None
-        self.profiler = None
 
     # ==================================================================
     # Public entry points
@@ -556,19 +555,11 @@ class Interpreter:
     # -- meta forms -----------------------------------------------------------
 
     def _eval_Backquote(self, e: nodes.Backquote, frame: Frame) -> Any:
-        prof = self.profiler
-        if prof is None:
-            return instantiate(
-                e.template,
-                evalfn=lambda meta_expr: self.eval(meta_expr, frame),
-                mark=self.current_mark,
-            )
-        with prof.phase("template-fill"):
-            return instantiate(
-                e.template,
-                evalfn=lambda meta_expr: self.eval(meta_expr, frame),
-                mark=self.current_mark,
-            )
+        return instantiate(
+            e.template,
+            evalfn=lambda meta_expr: self.eval(meta_expr, frame),
+            mark=self.current_mark,
+        )
 
     def _eval_AnonFunction(self, e: nodes.AnonFunction, frame: Frame) -> Any:
         return Closure(

@@ -81,8 +81,6 @@ class Ms2Options:
     # -- observability --------------------------------------------------
     #: Record an :class:`~repro.trace.ExpansionSpan` tree.
     trace: bool = False
-    #: Aggregate per-phase wall time into the session stats.
-    profile: bool = False
     #: Span event hooks, ``hook(event, span)``.  Runtime-only: never
     #: part of the options hash, stripped before crossing processes.
     trace_hooks: tuple = ()
@@ -195,7 +193,6 @@ OPTION_FIELDS: tuple[str, ...] = tuple(
 _UNHASHED_FIELDS = frozenset(
     {
         "trace",
-        "profile",
         "trace_hooks",
         "trace_jsonl",
         "compiled_patterns",

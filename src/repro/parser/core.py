@@ -19,7 +19,6 @@ provides the full implementation.
 from __future__ import annotations
 
 import contextlib
-from time import perf_counter
 from typing import Any, Protocol
 
 from repro.asttypes.body import BodyChecker
@@ -124,7 +123,6 @@ class Parser(ExpressionParserMixin):
         expand_inline: bool = True,
         filename: str = "<string>",
         stats: Any = None,
-        profiler: Any = None,
         diagnostics: DiagnosticSink | None = None,
     ) -> None:
         #: Optional :class:`repro.stats.PipelineStats` hooked up by the
@@ -134,19 +132,12 @@ class Parser(ExpressionParserMixin):
         #: present the parser recovers from errors (panic-mode resync)
         #: instead of failing fast.
         self.diagnostics = diagnostics
-        #: Optional :class:`repro.trace.PhaseProfiler` (``--profile``).
-        self.profiler = profiler
         if isinstance(source, TokenStream):
             self.stream = source
-        elif profiler is None:
+        else:
             self.stream = TokenStream(
                 tokenize(source, filename, stats=stats)
             )
-        else:
-            with profiler.phase("scan"):
-                self.stream = TokenStream(
-                    tokenize(source, filename, stats=stats)
-                )
         self.host = host
         self.expand_inline = expand_inline
         self.filename = filename
@@ -281,16 +272,6 @@ class Parser(ExpressionParserMixin):
     # Macro table access
     # ==================================================================
 
-    def _timed_check(self, checker: BodyChecker, body: Node) -> None:
-        """Run a definition-time body check under the ``type-check``
-        phase timer when profiling is enabled."""
-        prof = self.profiler
-        if prof is None:
-            checker.check_body(body)
-            return
-        with prof.phase("type-check"):
-            checker.check_body(body)
-
     def macro_lookup(self, name: str):
         if self.host is None:
             return None
@@ -305,8 +286,6 @@ class Parser(ExpressionParserMixin):
         host = self.host
         if host is None:
             return None
-        prof = self.profiler
-        t0 = perf_counter() if prof is not None else 0.0
         dispatch = getattr(host, "dispatch_macro", None)
         if dispatch is not None:
             defn = dispatch(name, position)
@@ -314,8 +293,6 @@ class Parser(ExpressionParserMixin):
             defn = host.lookup_macro(name)
             if defn is not None and defn.ret_spec != position:
                 defn = None
-        if prof is not None:
-            prof.add("dispatch", perf_counter() - t0)
         stats = self.stats
         if stats is not None:
             if defn is not None:
@@ -570,8 +547,7 @@ class Parser(ExpressionParserMixin):
 
         with self._meta(True), self._scoped_env(env):
             body = self.parse_compound_statement()
-            checker = BodyChecker(env, fn_type.result)
-            self._timed_check(checker, body)
+            BodyChecker(env, fn_type.result).check_body(body)
         return decls.FunctionDef(specs, declarator, kr_decls, body,
                                  loc=specs.loc)
 
@@ -1331,8 +1307,7 @@ class Parser(ExpressionParserMixin):
 
         with self._meta(True), self._scoped_env(env):
             body = self.parse_compound_statement()
-            checker = BodyChecker(env, ret_type)
-            self._timed_check(checker, body)
+            BodyChecker(env, ret_type).check_body(body)
 
         macro = decls.MacroDef(
             ret.text, returns_list, name.text, pattern, body,
@@ -1555,8 +1530,6 @@ class Parser(ExpressionParserMixin):
         """
         from repro.macros.invocation import InvocationParser
 
-        prof = self.profiler
-        t0 = perf_counter() if prof is not None else 0.0
         keyword = self.next_token()
         matcher = getattr(defn, "compiled_matcher", None)
         if matcher is not None:
@@ -1570,8 +1543,6 @@ class Parser(ExpressionParserMixin):
             inv_parser = InvocationParser(self)
             invocation = inv_parser.parse_invocation(defn, keyword)
             invocation.parse_mode = "interpreted"
-        if prof is not None:
-            prof.add("invocation-parse", perf_counter() - t0)
         return invocation
 
     def expand_expression_invocation(self, defn) -> Node:

@@ -220,7 +220,7 @@ class WorkerPool:
         package_names: Sequence[str],
         package_sources: Sequence[tuple[str, str]],
     ) -> str:
-        # Not options_hash(): that deliberately ignores trace/profile,
+        # Not options_hash(): that deliberately ignores trace,
         # but a worker built without a tracer cannot serve a traced
         # request, so pool keys cover every serializable field.
         digest = hashlib.sha256(
@@ -410,11 +410,6 @@ def stats_view(
         name, labels = _pipeline_series(field)
         kind = type(getattr(pipeline, field))
         setattr(pipeline, field, kind(total(name, **labels)))
-    for phase, ms in by("ms2_pipeline_phase_ms_total", "phase").items():
-        pipeline.phase_seconds[phase] = ms / 1000.0
-    pipeline.phase_calls.update(
-        counts("ms2_pipeline_phase_calls_total", "phase")
-    )
 
     tiers: dict[str, dict[str, float]] = {}
     for labels, value in _series(snapshot, "ms2_cache_backend_ops_total"):
@@ -483,12 +478,6 @@ def stats_view(
         "cache_backends": {
             "dir": info["cache_dir"],
             "tiers": tiers,
-            "write_behind": {
-                "depth": count("ms2_cache_backend_write_behind_depth"),
-                "dropped": count(
-                    "ms2_cache_backend_write_behind_dropped_total"
-                ),
-            },
         },
         "telemetry": {
             "metrics_address": info["metrics_address"],
@@ -770,11 +759,6 @@ class Ms2Server:
             )
             metric.inc(0, **labels)
             m["pipeline"].append((field, metric, labels))
-        counter("phase_ms", "ms2_pipeline_phase_ms_total",
-                "Profiled wall milliseconds per pipeline phase "
-                "(phases nest)", "phase")
-        counter("phase_calls", "ms2_pipeline_phase_calls_total",
-                "Profiled entries per pipeline phase", "phase")
 
         # Scrape-time state and the counters other modules own.
         gauge("uptime", "ms2_uptime_seconds",
@@ -790,13 +774,6 @@ class Ms2Server:
                 "Wall milliseconds loading snapshots, by tier", "tier")
         counter("cache_store_ms", "ms2_cache_backend_store_ms_total",
                 "Wall milliseconds storing snapshots, by tier", "tier")
-        # The daemon's build sessions never publish remotely, so these
-        # two read zero; they keep the build-side families' names.
-        gauge("cache_wb_depth", "ms2_cache_backend_write_behind_depth",
-              "Remote publishes waiting in write-behind queues")
-        counter("cache_wb_dropped",
-                "ms2_cache_backend_write_behind_dropped_total",
-                "Remote publishes dropped on write-behind queue overflow")
         # No sample at all while the event log is off (stats: None).
         m["events"] = reg.counter(
             "ms2_event_log_records_total",
@@ -867,11 +844,6 @@ class Ms2Server:
             value = getattr(stats, field)
             if value:
                 metric.inc(value, **labels)
-        for phase, seconds in stats.phase_seconds.items():
-            self._m["phase_ms"].inc(seconds * 1000.0, phase=phase)
-            self._m["phase_calls"].inc(
-                stats.phase_calls.get(phase, 0), phase=phase
-            )
 
     def _admit(self, delta: int) -> None:
         """Move the admitted-work count (event loop only) and the

@@ -1,18 +1,17 @@
-"""Counters and phase aggregates for the pipeline's observability layer.
+"""Counters for the pipeline's observability layer.
 
 One :class:`PipelineStats` instance is threaded through a
 :class:`~repro.engine.MacroProcessor`'s scanner, parser dispatch,
 expander, hygiene renamer, meta-interpreter and expansion cache, so a
 single object answers "what did the pipeline actually do" for a whole
 session.  The CLI exposes it via ``python -m repro expand --stats``
-(text), ``--stats-json`` (machine-readable) and ``--profile``
-(per-phase wall time, populated when the
-:class:`~repro.trace.PhaseProfiler` is enabled).
+(text) and ``--stats-json`` (machine-readable); timing lives in the
+expansion spans of :class:`~repro.trace.Tracer` (``--profile``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -73,32 +72,17 @@ class PipelineStats:
     # -- scanner --------------------------------------------------------
     #: Tokens produced by the master-regex fast path.
     tokens_scanned: int = 0
-    #: Identifier/punctuator texts answered from the intern table.
-    tokens_interned: int = 0
-
-    # -- phase profiler (populated only under ``profile=True``) --------
-    #: Cumulative wall seconds per pipeline phase.  Phases nest, so
-    #: totals overlap (``meta-eval`` contains ``template-fill``).
-    phase_seconds: dict = field(default_factory=dict)
-    #: Number of timed entries per phase.
-    phase_calls: dict = field(default_factory=dict)
 
     def merge(self, other: "PipelineStats") -> None:
         """Fold another session's counters into this one (the batch
         driver aggregates every worker's per-file stats this way).
-        Phase timings sum; derived rates are recomputed on demand."""
+        Derived rates are recomputed on demand."""
         for stats_field in self.__dataclass_fields__:
-            value = getattr(other, stats_field)
-            if isinstance(value, (int, float)):
-                setattr(
-                    self, stats_field, getattr(self, stats_field) + value
-                )
-        for name, seconds in other.phase_seconds.items():
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0) + seconds
+            setattr(
+                self,
+                stats_field,
+                getattr(self, stats_field) + getattr(other, stats_field),
             )
-        for name, calls in other.phase_calls.items():
-            self.phase_calls[name] = self.phase_calls.get(name, 0) + calls
 
     @classmethod
     def from_json(cls, data: dict) -> "PipelineStats":
@@ -115,9 +99,6 @@ class PipelineStats:
                 current, float
             ):
                 setattr(stats, stats_field, float(value))
-        for name, entry in (data.get("phases") or {}).items():
-            stats.phase_seconds[name] = entry.get("ms", 0.0) / 1000.0
-            stats.phase_calls[name] = entry.get("calls", 0)
         return stats
 
     def cache_hit_rate(self) -> float:
@@ -127,12 +108,8 @@ class PipelineStats:
 
     def to_json(self) -> dict:
         """Machine-readable snapshot (the ``--stats-json`` payload
-        and the server wire form).
-
-        The ``phases`` sub-dict appears only when the phase profiler
-        actually recorded timings (``profile=True`` sessions).
-        """
-        out = {
+        and the server wire form)."""
+        return {
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_uncacheable": self.cache_uncacheable,
@@ -152,47 +129,11 @@ class PipelineStats:
             "hygiene_renames": self.hygiene_renames,
             "gensym_calls": self.gensym_calls,
             "tokens_scanned": self.tokens_scanned,
-            "tokens_interned": self.tokens_interned,
         }
-        if self.phase_seconds:
-            out["phases"] = {
-                name: {
-                    "calls": self.phase_calls.get(name, 0),
-                    "ms": round(self.phase_seconds[name] * 1000, 3),
-                }
-                for name in sorted(self.phase_seconds)
-            }
-        return out
 
     def summary(self) -> str:
         """Multi-line human-readable rendering (the ``--stats`` output)."""
         lines = ["-- pipeline stats --"]
         for key, value in self.to_json().items():
-            if isinstance(value, dict):
-                continue  # phases get their own table (--profile)
             lines.append(f"{key:22} {value}")
-        return "\n".join(lines)
-
-    def profile_summary(self) -> str:
-        """Per-phase wall-time table (the ``--profile`` output).
-
-        Phase timers nest, so the column does not sum to end-to-end
-        wall time — each row answers "how long did the pipeline spend
-        inside this phase".
-        """
-        lines = ["-- phase profile (phases nest; totals overlap) --"]
-        if not self.phase_seconds:
-            lines.append("(no phases recorded; run with profiling enabled)")
-            return "\n".join(lines)
-        header = f"{'phase':18} {'calls':>8} {'total_ms':>10} {'avg_us':>10}"
-        lines.append(header)
-        for name, seconds in sorted(
-            self.phase_seconds.items(), key=lambda kv: -kv[1]
-        ):
-            calls = self.phase_calls.get(name, 0)
-            avg_us = (seconds / calls * 1e6) if calls else 0.0
-            lines.append(
-                f"{name:18} {calls:>8} {seconds * 1000:>10.2f} "
-                f"{avg_us:>10.1f}"
-            )
         return "\n".join(lines)

@@ -160,15 +160,6 @@ def render_dashboard(
             f"load {float(tier.get('load_ms', 0.0)):.1f}ms   "
             f"store {float(tier.get('store_ms', 0.0)):.1f}ms"
         )
-    wb = backends.get("write_behind") or {}
-    if wb.get("limit") or wb.get("queued"):
-        lines.append(
-            f"cache:wb   depth {wb.get('depth', 0)}"
-            f"/{wb.get('limit', 0)}   "
-            f"flushed {wb.get('flushed', 0)}   "
-            f"dropped {wb.get('dropped', 0)}   "
-            f"failed {wb.get('failed', 0)}"
-        )
     resilience = curr.get("resilience") or {}
     if any(resilience.values()):
         lines.append(

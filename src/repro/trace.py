@@ -1,36 +1,34 @@
-"""Structured tracing and phase profiling for the MS2 pipeline.
+"""Structured tracing for the MS2 pipeline.
 
-Two observability primitives, both opt-in and both threaded through
-:class:`~repro.engine.MacroProcessor`:
+Every macro invocation opens an :class:`ExpansionSpan` recording the
+macro name, the pattern it matched, the AST types of its actual
+parameters, the invocation site, whether the expansion cache answered
+it, whether the invocation was parsed by a compiled routine, wall time,
+and the size of the produced tree.  Spans nest — recursive and
+template-nested expansions form a tree — and completed spans stream
+into a bounded in-memory ring buffer, to any subscribed hook
+callables, and optionally to a JSONL event log.
 
-**Expansion spans** (:class:`ExpansionSpan`, :class:`Tracer`) — every
-macro invocation opens a span recording the macro name, the pattern it
-matched, the AST types of its actual parameters, the invocation site,
-whether the expansion cache answered it, whether the invocation was
-parsed by a compiled routine, wall time, and the size of the produced
-tree.  Spans nest — recursive and template-nested expansions form a
-tree — and completed spans stream into a bounded in-memory ring
-buffer, to any subscribed hook callables, and optionally to a JSONL
-event log.  ``repro trace <file>`` renders the span tree.
+:class:`Tracer` collects the spans of one session and is threaded
+through :class:`~repro.engine.MacroProcessor` when
+``Ms2Options.trace`` (or a hook or JSONL sink) is set.  Tracing times
+the pipeline as it ships — compiled bodies, replay cache and all — so
+the two views built on it describe the production path:
 
-**Phase profiler** (:class:`PhaseProfiler`) — monotonic timers around
-the pipeline's phases (``scan``, ``dispatch``, ``invocation-parse``,
-``type-check``, ``meta-eval``, ``template-fill``, ``print``),
-aggregated per session into :class:`~repro.stats.PipelineStats`.
-Phases *nest* (``meta-eval`` contains ``template-fill``;
-``invocation-parse`` may contain whole nested expansions), so the
-per-phase totals deliberately overlap — each answers "how much wall
-time passed inside this phase", not "exclusive self time".
+* ``repro trace <file>`` renders the span tree
+  (:meth:`Tracer.render_tree`);
+* ``--profile`` (on ``repro expand`` and ``repro trace``) prints
+  :func:`profile_table`, a per-macro summary of the root spans with
+  inclusive and self time.  Spans cross the daemon wire in
+  ``ExpandResult.spans``, so ``repro expand --server`` renders the
+  same table.
 
-When neither is enabled the pipeline pays only a ``None`` check per
-instrumentation point, keeping the disabled-tracing overhead on the
-pure-unroll benchmark under the 2% budget tracked in
-``BENCH_expansion.json``.
+When tracing is off the expander pays one ``None`` check per
+invocation.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -40,7 +38,7 @@ from typing import IO, Any, Callable, Iterator
 from repro.cast.base import Node, walk
 from repro.provenance import provenance_of, strip_expansion
 
-__all__ = ["ExpansionSpan", "PhaseProfiler", "Tracer", "TraceHook"]
+__all__ = ["ExpansionSpan", "Tracer", "TraceHook", "profile_table"]
 
 #: Event hook signature: ``hook(event, span)`` with event one of
 #: ``"start"`` / ``"end"`` / ``"error"``.
@@ -313,42 +311,50 @@ def _count_nodes(result: Any) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Phase profiling
+# Per-macro profile
 # ---------------------------------------------------------------------------
 
 
-class PhaseProfiler:
-    """Aggregates per-phase wall time into a
-    :class:`~repro.stats.PipelineStats` instance.
+def profile_table(roots: list[ExpansionSpan]) -> str:
+    """The ``--profile`` output: one row per macro over the span trees
+    under ``roots``.
 
-    Instrumentation sites do::
-
-        prof = self.profiler
-        if prof is None:
-            <work>
-        else:
-            with prof.phase("dispatch"):
-                <work>
-
-    so a session without profiling pays one ``None`` check.
+    ``incl_ms`` is the wall time of the macro's spans, counting only
+    the outermost span when a macro nests inside itself; ``self_ms``
+    subtracts the time of each span's child spans, so the ``self_ms``
+    column sums to the total time of the root spans.
     """
+    rows: dict[str, list] = {}  # macro -> [calls, hits, incl, self]
 
-    __slots__ = ("stats",)
+    def visit(span: ExpansionSpan, active: frozenset[str]) -> None:
+        row = rows.setdefault(span.macro, [0, 0, 0.0, 0.0])
+        row[0] += 1
+        row[1] += span.cache == "hit"
+        if span.macro not in active:
+            row[2] += span.duration
+        row[3] += span.duration - sum(c.duration for c in span.children)
+        for child in span.children:
+            visit(child, active | {span.macro})
 
-    def __init__(self, stats: Any) -> None:
-        self.stats = stats
-
-    @contextlib.contextmanager
-    def phase(self, name: str):
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, perf_counter() - start)
-
-    def add(self, name: str, seconds: float) -> None:
-        stats = self.stats
-        stats.phase_seconds[name] = (
-            stats.phase_seconds.get(name, 0.0) + seconds
+    for root in roots:
+        visit(root, frozenset())
+    if not rows:
+        return "(no macro expansions recorded)"
+    lines = [
+        f"{'macro':24} {'calls':>7} {'hits':>7} {'incl_ms':>10} "
+        f"{'self_ms':>10}"
+    ]
+    for macro, (calls, hits, incl, own) in sorted(
+        rows.items(), key=lambda kv: (-kv[1][3], kv[0])
+    ):
+        lines.append(
+            f"{macro:24} {calls:>7} {hits:>7} {incl * 1000:>10.3f} "
+            f"{own * 1000:>10.3f}"
         )
-        stats.phase_calls[name] = stats.phase_calls.get(name, 0) + 1
+    total = sum(root.duration for root in roots)
+    lines.append(
+        f"{'total':24} {sum(r[0] for r in rows.values()):>7} "
+        f"{sum(r[1] for r in rows.values()):>7} {total * 1000:>10.3f} "
+        f"{total * 1000:>10.3f}"
+    )
+    return "\n".join(lines)

@@ -112,10 +112,10 @@ def test_options_change_invalidates(
 def test_observability_options_do_not_invalidate(
     corpus_dir: Path, cache_dir: Path
 ) -> None:
-    """trace/profile never change output, so they share cache keys."""
+    """Tracing never changes output, so it shares cache keys."""
     session(cache_dir).build([corpus_dir])
     report = session(
-        cache_dir, options=Ms2Options(profile=True)
+        cache_dir, options=Ms2Options(trace=True)
     ).build([corpus_dir])
     assert report.files_from_cache == 3
 

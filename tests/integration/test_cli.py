@@ -1,8 +1,27 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+CORPUS = sorted(
+    (Path(__file__).resolve().parents[2] / "examples" / "corpus").glob("*.c")
+)
+
+
+def profile_rows(text):
+    """``{macro: (calls, hits, incl_ms, self_ms)}`` from the
+    ``--profile`` table at the end of ``text``."""
+    lines = text.splitlines()
+    start = max(i for i, line in enumerate(lines) if "self_ms" in line)
+    rows = {}
+    for line in lines[start + 1:]:
+        macro, calls, hits, incl, own = line.split()
+        rows[macro] = (int(calls), int(hits), float(incl), float(own))
+    return rows
 
 
 @pytest.fixture()
@@ -70,19 +89,38 @@ class TestExpand:
 
 class TestExpandObservability:
     def test_stats_json(self, program_file, capsys):
-        import json
-
         assert main(["expand", "--stats-json", str(program_file)]) == 0
         err = capsys.readouterr().err
         payload = json.loads(err.splitlines()[-1])
         assert payload["expansions"] == 1
-        assert "phases" not in payload  # profiling was off
+        assert "phases" not in payload  # timings live in trace spans
 
     def test_profile(self, program_file, capsys):
         assert main(["expand", "--profile", str(program_file)]) == 0
-        err = capsys.readouterr().err
-        assert "phase profile" in err
-        assert "meta-eval" in err
+        rows = profile_rows(capsys.readouterr().err)
+        assert rows["trace"][:2] == (1, 0)
+        total = rows.pop("total")
+        assert sum(row[3] for row in rows.values()) == pytest.approx(
+            total[3], abs=1e-2
+        )
+
+    @pytest.mark.parametrize("program", CORPUS, ids=lambda p: p.name)
+    def test_profile_runs_the_shipping_path(self, program, capsys):
+        """Same bytes and the same compiled bodies as a plain run:
+        the profile times the program users actually run."""
+        runs = {}
+        for flags in ([], ["--profile"]):
+            assert main(["expand", "--stats-json", *flags,
+                         str(program)]) == 0
+            captured = capsys.readouterr()
+            stats_line = next(
+                line for line in captured.err.splitlines()
+                if line.startswith("{")
+            )
+            runs[bool(flags)] = (
+                captured.out, json.loads(stats_line)["bodies_compiled"]
+            )
+        assert runs[True] == runs[False]
 
     def test_annotate(self, program_file, capsys):
         assert main(["expand", "--annotate", str(program_file)]) == 0
@@ -101,11 +139,10 @@ class TestTrace:
     def test_profile_flag(self, program_file, capsys):
         assert main(["trace", "--profile", str(program_file)]) == 0
         out = capsys.readouterr().out
-        assert "phase profile" in out
+        assert "[miss, compiled]" in out
+        assert profile_rows(out)["trace"][:2] == (1, 0)
 
     def test_jsonl_sink(self, program_file, tmp_path, capsys):
-        import json
-
         log = tmp_path / "spans.jsonl"
         assert main(["trace", "--jsonl", str(log), str(program_file)]) == 0
         [record] = [

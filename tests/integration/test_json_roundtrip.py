@@ -9,7 +9,7 @@ a persistent snapshot) round-trips through its ``to_json`` /
 - **object fidelity** where the object is fully wire-representable
   (``Ms2Options``: equality after a round trip);
 - **JSON stability** where serialization deliberately flattens
-  run-time state (locations, span trees, phase timings): a second
+  run-time state (locations, span trees, timings): a second
   round trip must produce byte-identical JSON.
 """
 
@@ -45,7 +45,6 @@ _options = st.builds(
     deadline_s=st.none()
     | st.floats(min_value=0.0, max_value=3600.0, allow_nan=False),
     trace=st.booleans(),
-    profile=st.booleans(),
 )
 
 _text = st.text(
@@ -75,10 +74,8 @@ _stats = st.builds(
     cache_misses=st.integers(min_value=0, max_value=10**6),
     expansions=st.integers(min_value=0, max_value=10**6),
     hygiene_renames=st.integers(min_value=0, max_value=10**6),
-    phase_seconds=st.dictionaries(
-        st.sampled_from(["scan", "dispatch", "meta-eval", "print"]),
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-        max_size=4,
+    compile_time_ms=st.floats(
+        min_value=0.0, max_value=1e4, allow_nan=False
     ),
 )
 
@@ -109,6 +106,8 @@ def test_options_round_trip_preserves_hash(options: Ms2Options) -> None:
 def test_options_from_json_ignores_unknown_keys() -> None:
     payload = {"hygienic": True, "from_the_future": 42}
     assert Ms2Options.from_json(payload) == Ms2Options(hygienic=True)
+    # A field a past pipeline had (the removed ``profile``) loads too.
+    assert Ms2Options.from_json({"profile": True}) == Ms2Options()
 
 
 def test_options_from_json_rejects_wrong_types() -> None:
@@ -211,7 +210,7 @@ _BROKEN = "void broken( {\nint x = ;\n"
 
 
 def test_expand_result_round_trip_clean_traced() -> None:
-    mp = MacroProcessor(options=Ms2Options(trace=True, profile=True))
+    mp = MacroProcessor(options=Ms2Options(trace=True))
     result = mp.expand(_PROGRAM, "prog.c")
     once = _wire(result.to_json())
     restored = ExpandResult.from_json(once)

@@ -68,7 +68,7 @@ FLAG_CASES = [
     (["--max-expansions", "7"], {"max_expansions": 7}),
     (["--max-output-nodes", "9000"], {"max_output_nodes": 9000}),
     (["--deadline-ms", "250"], {"deadline_s": 0.25}),
-    (["--profile"], {"profile": True}),
+    (["--no-compiled-bodies"], {"compiled_bodies": False}),
 ]
 
 
@@ -77,6 +77,23 @@ FLAG_CASES = [
 def test_each_flag_maps_to_its_field(subcommand, flags, expected) -> None:
     options = options_from_args(parse([subcommand, "x.c", *flags]))
     assert options == Ms2Options(**expected)
+
+
+@pytest.mark.parametrize("subcommand", ["expand", "trace"])
+def test_profile_flag_turns_tracing_on(subcommand) -> None:
+    """``--profile`` reports the span tracer's figures, so it is
+    tracing — no separate option, no second code path."""
+    options = options_from_args(parse([subcommand, "x.c", "--profile"]))
+    assert options == Ms2Options(trace=True)
+
+
+@pytest.mark.parametrize(
+    "argv", [["build", "x.c"], ["serve", "--socket", "s.sock"]]
+)
+def test_profile_flag_only_where_a_table_is_printed(argv, capsys) -> None:
+    with pytest.raises(SystemExit):
+        parse([*argv, "--profile"])
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 def test_trace_subcommand_shares_defaults() -> None:
@@ -125,7 +142,7 @@ def test_hash_is_stable_and_ignores_observability() -> None:
     base = Ms2Options()
     assert base.options_hash() == Ms2Options().options_hash()
     noisy = base.replace(
-        trace=True, profile=True,
+        trace=True,
         trace_hooks=(lambda event, span: None,),
     )
     assert noisy.options_hash() == base.options_hash()
@@ -133,7 +150,7 @@ def test_hash_is_stable_and_ignores_observability() -> None:
 
 @pytest.mark.parametrize(
     "name",
-    ["compiled_bodies", "compiled_patterns", "cache", "trace", "profile"],
+    ["compiled_bodies", "compiled_patterns", "cache", "trace"],
 )
 def test_hash_ignores_fields_that_cannot_change_output(name) -> None:
     """A field is hashed iff it can change output bytes or

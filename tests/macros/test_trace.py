@@ -1,13 +1,14 @@
-"""Expansion tracing and phase profiling (:mod:`repro.trace`)."""
+"""Expansion tracing and the span profile table (:mod:`repro.trace`)."""
 
 import io
 import json
 
+import pytest
+
 from repro import MacroProcessor, Ms2Options
 from repro.errors import Ms2Error
 from repro.packages import loops
-from repro.stats import PipelineStats
-from repro.trace import PhaseProfiler, Tracer
+from repro.trace import ExpansionSpan, Tracer, profile_table
 
 TWICE = "syntax exp twice {| ( $$exp::e ) |} { return(`(($e) * 2)); }"
 NESTING = (
@@ -146,47 +147,88 @@ class TestHooksAndSinks:
         assert len(tracer.ring) == 2
 
 
-class TestPhaseProfiler:
-    def test_phases_populate_stats(self):
-        mp = MacroProcessor(options=Ms2Options(profile=True))
+def _span(macro, ms, *children, cache="miss"):
+    """A closed span of ``ms`` milliseconds over ``children``."""
+    return ExpansionSpan(
+        span_id=0, parent_id=None, macro=macro, pattern="", site="",
+        arg_types=(), parse_mode="compiled", depth=0, start=0.0,
+        cache=cache, duration=ms / 1000.0, children=list(children),
+    )
+
+
+def _rows(table):
+    """``{macro: (calls, hits, incl_ms, self_ms)}`` from a table."""
+    rows = {}
+    for line in table.splitlines()[1:]:
+        macro, calls, hits, incl, own = line.split()
+        rows[macro] = (int(calls), int(hits), float(incl), float(own))
+    return rows
+
+
+class TestProfileTable:
+    def test_rows_count_calls_and_cache_hits(self):
+        mp = MacroProcessor(options=Ms2Options(trace=True))
         loops.register(mp)
-        mp.expand_to_c("void f(void) { unroll (2) {a();} }")
-        phases = mp.stats.phase_seconds
-        for name in ("scan", "dispatch", "invocation-parse",
-                     "meta-eval", "template-fill", "print"):
-            assert name in phases, name
-            assert phases[name] >= 0.0
-        assert mp.stats.phase_calls["meta-eval"] == 1
+        result = mp.expand(
+            "void f(void) { unroll (2) {a();} unroll (2) {a();} "
+            "unroll (2) {a();} }"
+        )
+        rows = _rows(profile_table(result.spans))
+        # Admission on the second sighting: miss, miss, hit.
+        assert rows["unroll"][:2] == (3, 1)
+        assert rows["total"][:2] == (3, 1)
+
+    def test_self_ms_sums_to_root_total(self):
+        roots = [
+            _span("quad", 10.0, _span("twice", 3.0), _span("twice", 2.5)),
+            _span("twice", 1.5, cache="hit"),
+        ]
+        rows = _rows(profile_table(roots))
+        assert rows["quad"] == (1, 0, 10.0, 4.5)
+        assert rows["twice"] == (3, 1, 7.0, 7.0)
+        total = rows.pop("total")
+        assert total == (4, 1, 11.5, 11.5)
+        assert sum(row[3] for row in rows.values()) == pytest.approx(
+            total[3]
+        )
+
+    def test_self_ms_sums_on_a_real_run(self):
+        mp = MacroProcessor(options=Ms2Options(trace=True))
+        mp.load(NESTING)
+        result = mp.expand("int x = quad(1);")
+        rows = _rows(profile_table(result.spans))
+        total = rows.pop("total")
+        assert set(rows) == {"quad", "twice"}
+        assert total[3] == pytest.approx(
+            sum(span.duration for span in result.spans) * 1000, abs=1e-3
+        )
+        assert sum(row[3] for row in rows.values()) == pytest.approx(
+            total[3], abs=1e-2
+        )
+
+    def test_recursive_macro_counts_inclusive_time_once(self):
+        roots = [_span("rec", 8.0, _span("rec", 5.0, _span("rec", 1.0)))]
+        assert _rows(profile_table(roots))["rec"] == (3, 0, 8.0, 8.0)
 
     def test_profile_off_records_nothing(self):
         mp = MacroProcessor()
         loops.register(mp)
-        mp.expand_to_c("void f(void) { unroll (2) {a();} }")
-        assert mp.stats.phase_seconds == {}
-        assert "phases" not in mp.stats.to_json()
+        result = mp.expand("void f(void) { unroll (2) {a();} }")
+        assert mp.tracer is None
+        assert result.spans == []
+        assert profile_table(result.spans) == (
+            "(no macro expansions recorded)"
+        )
 
-    def test_add_accumulates(self):
-        stats = PipelineStats()
-        prof = PhaseProfiler(stats)
-        prof.add("scan", 0.25)
-        prof.add("scan", 0.5)
-        assert stats.phase_seconds["scan"] == 0.75
-        assert stats.phase_calls["scan"] == 2
+    def test_tracing_keeps_the_compiled_path(self):
+        def run(options):
+            mp = MacroProcessor(options=options)
+            loops.register(mp)
+            out = mp.expand_to_c("void f(void) { unroll (2) {a();} }")
+            return out, mp.stats.bodies_compiled
 
-    def test_profile_summary_lists_phases(self):
-        mp = MacroProcessor(options=Ms2Options(profile=True))
-        loops.register(mp)
-        mp.expand_to_c("void f(void) { unroll (2) {a();} }")
-        table = mp.stats.profile_summary()
-        assert "meta-eval" in table
-        assert "phases nest" in table
-
-    def test_stats_json_includes_phase_table(self):
-        mp = MacroProcessor(options=Ms2Options(profile=True))
-        loops.register(mp)
-        mp.expand_to_c("void f(void) { unroll (2) {a();} }")
-        payload = mp.stats.to_json()
-        assert payload["phases"]["meta-eval"]["calls"] == 1
+        assert run(Ms2Options(trace=True)) == run(Ms2Options())
+        assert run(Ms2Options())[1] > 0
 
 
 class TestCounters:

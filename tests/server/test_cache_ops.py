@@ -250,7 +250,8 @@ def test_cache_backend_metrics_exported(server_factory, tmp_path):
         in body
     )
     assert "ms2_cache_backend_load_ms_total" in body
-    assert "ms2_cache_backend_write_behind_depth" in body
+    # The daemon never publishes remotely: no write-behind series.
+    assert "write_behind" not in body
 
 
 def test_stats_payload_carries_cache_backends(authority):
@@ -262,4 +263,4 @@ def test_stats_payload_carries_cache_backends(authority):
     section = stats["cache_backends"]
     assert section["dir"] == str(authority.server.cache_dir)
     assert section["tiers"]["authority"]["stores"] >= 1
-    assert "write_behind" in section
+    assert "write_behind" not in section

@@ -99,10 +99,6 @@ STATS_SERIES = {
     ("resilience", "eventlog_errors"): "ms2_eventlog_errors_total",
     ("resilience", "client_retries"): "ms2_client_retries_total",
     ("resilience", "client_fallbacks"): "ms2_client_fallbacks_total",
-    ("cache_backends", "write_behind", "depth"):
-        "ms2_cache_backend_write_behind_depth",
-    ("cache_backends", "write_behind", "dropped"):
-        "ms2_cache_backend_write_behind_dropped_total",
     ("telemetry", "event_log_records"): "ms2_event_log_records_total",
 }
 
@@ -153,8 +149,6 @@ def _series_for(path: tuple) -> str | None:
                 f'{{result="{_CACHE_RESULTS[path[1]]}"}}'
             )
         return f"ms2_{path[1]}_total"
-    if head == "pipeline" and path[1] == "phases":
-        return f'ms2_pipeline_phase_{path[3]}_total{{phase="{path[2]}"}}'
     if head == "disk_cache":
         return _cache_series("local", path[1])
     if path[:2] == ("cache_backends", "tiers"):
@@ -249,7 +243,9 @@ def test_metrics_agree_with_stats_op(server_factory, tmp_path):
     with handle.client() as client:
         for _ in range(3):
             client.expand(PROGRAM, "prog.c")
-        client.expand(PROGRAM, "prof.c", options=Ms2Options(profile=True))
+        traced = client.expand(
+            PROGRAM, "traced.c", options=Ms2Options(trace=True)
+        )
         client.expand_file(unit)
         client.expand_file(unit)
         client.request({"op": "expand"})  # no source: bad_request
@@ -265,7 +261,7 @@ def test_metrics_agree_with_stats_op(server_factory, tmp_path):
     assert problems == []
     # The workload reached the counters the table covers.
     assert stats["pipeline"]["expansions"] >= 4
-    assert stats["pipeline"]["phases"]
+    assert traced.spans
     assert stats["disk_cache"]["hits"] == 1
     # The op-less request and the malformed frame.
     assert stats["error_codes"] == {"bad_request": 2}

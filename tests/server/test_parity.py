@@ -89,3 +89,23 @@ def test_server_preamble_matches_local_preamble(server_factory):
     with handle.client() as client:
         remote = client.expand(program.read_text(), str(program))
     assert remote.output == local.output
+
+
+def test_cli_profile_renders_wire_spans(server, capsys):
+    """``repro expand --server ADDR --profile`` builds the table from
+    the spans the daemon sent back, and stdout stays the plain
+    expansion."""
+    from repro.cli import main
+
+    path = CORPUS / "with_lock.c"
+    assert main(["expand", str(path)]) == 0
+    plain = capsys.readouterr().out
+    argv = ["expand", "--server", str(server.socket_path), "--profile"]
+    assert main([*argv, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    header, *rows = captured.err.splitlines()
+    assert header.split() == ["macro", "calls", "hits", "incl_ms", "self_ms"]
+    assert [row.split()[:3] for row in rows] == [
+        ["with_lock", "1", "0"], ["total", "1", "0"],
+    ]
