@@ -290,15 +290,21 @@ _PLACEHOLDER_CLASSES = (
 )
 
 
-def analyze_macro_purity(definition, meta_globals) -> PurityReport:
+def analyze_macro_purity(
+    definition, meta_globals, lookup_macro
+) -> PurityReport:
     """Decide whether ``definition``'s expansion may be memoized.
 
     ``meta_globals`` is the interpreter's global
     :class:`~repro.meta.frames.Frame` at definition time: meta-function
     names resolve to closures there (analyzed transitively, memoized,
     cycle-tolerant), every other global binding is ``metadcl`` state.
+    ``lookup_macro`` resolves a macro name in the analyzing context's
+    table, as the expander does: parsed templates may be shared with
+    other contexts, so the definition an invocation node carries can
+    belong to one of them.
     """
-    scan = _PurityScan(meta_globals)
+    scan = _PurityScan(meta_globals, lookup_macro)
     params = {arg.name for arg in _pattern_params(definition.pattern)}
     scan.analyze_compound(definition.body, params)
     reasons = tuple(dict.fromkeys(scan.reasons))  # dedup, keep order
@@ -321,8 +327,9 @@ class _PurityScan:
     """Walks meta-code, mirroring the interpreter's evaluation rules
     closely enough to classify every name reference."""
 
-    def __init__(self, meta_globals, closure_memo=None) -> None:
+    def __init__(self, meta_globals, lookup_macro, closure_memo=None) -> None:
         self.globals = meta_globals
+        self.lookup_macro = lookup_macro
         self.reasons: list[str] = []
         #: id(closure) -> PurityReport | None (None = in progress; a
         #: cycle with no impure trigger elsewhere is pure).
@@ -513,7 +520,9 @@ class _PurityScan:
         if key in self._closure_memo:
             return self._closure_memo[key]  # may be None: in progress
         self._closure_memo[key] = None
-        sub = _PurityScan(self.globals, self._closure_memo)
+        sub = _PurityScan(
+            self.globals, self.lookup_macro, self._closure_memo
+        )
         if getattr(closure, "is_anon", False):
             sub.analyze_expr(closure.body, set(closure.params))
         else:
@@ -548,7 +557,8 @@ class _PurityScan:
             self.analyze_expr(template.meta_expr, bound)
             return
         if isinstance(template, nodes.MacroInvocation):
-            purity = getattr(template.definition, "purity", None)
+            definition = self.lookup_macro(template.name)
+            purity = getattr(definition, "purity", None)
             if purity is None or not purity.cacheable:
                 self.reasons.append(
                     f"invokes uncacheable macro {template.name!r}"

@@ -33,7 +33,6 @@ from repro.engine import MacroProcessor
 from repro.options import ExpandResult, Ms2Options
 from repro.client import Ms2Client, RetryPolicy, parse_server_address
 from repro.serveconfig import ServeConfig
-from repro.server import serve
 
 __all__ = [
     "Ms2Options",
@@ -49,6 +48,16 @@ __all__ = [
     "parse_server_address",
     "serve",
 ]
+
+
+def __getattr__(name: str):
+    # The daemon, and asyncio with it, loads on first use of ``serve``:
+    # library callers never pay for importing it.
+    if name == "serve":
+        from repro.server import serve
+
+        return serve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def expand(

@@ -29,8 +29,11 @@ output contains no ``syntax`` / ``metadcl`` items.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 from repro.analysis import analyze_macro_purity
+from repro.asttypes.env import TypeEnv
+from repro.asttypes.types import AstType
 from repro.cast import decls, nodes
 from repro.cast.base import Node
 from repro.cast.printer import render_c
@@ -40,11 +43,41 @@ from repro.macros.cache import ExpansionCache
 from repro.macros.compiled import compile_pattern
 from repro.macros.definition import MacroDefinition, MacroTable
 from repro.macros.expander import Expander
+from repro.macros.memo import ProcessMemo
 from repro.meta.interp import Interpreter
 from repro.options import ExpandResult, Ms2Options
 from repro.parser.core import Parser
 from repro.stats import PipelineStats
 from repro.trace import Tracer
+
+#: Most parsed package loads the process-wide load memo keeps; the
+#: least recently used entry goes first.
+LOAD_MEMO_SIZE = 64
+
+_LOAD_MEMO = ProcessMemo()
+
+#: The counters a package parse advances; a replayed load adds the
+#: recorded deltas so its session reports what a parse would.
+_PARSE_COUNTERS = (
+    "tokens_scanned",
+    "dispatch_hits",
+    "dispatch_misses",
+    "compiled_parses",
+    "interpreted_parses",
+)
+
+
+@dataclass(frozen=True, slots=True)
+class _ParsedLoad:
+    """What one successful, expansion-free package parse did to its
+    context: the parsed nodes it handed to the host, in order, the
+    parse state later files inherit, and its counter deltas."""
+
+    host_calls: tuple[tuple[str, Node], ...]
+    typedef_scopes: tuple[frozenset[str], ...]
+    meta_types: tuple[tuple[str, AstType], ...]
+    counters: tuple[int, ...]
+
 
 class MacroProcessor:
     """A complete MS2 macro-processing pipeline.
@@ -101,6 +134,11 @@ class MacroProcessor:
         )
         self.compiled_patterns = options.compiled_patterns
         self._parser: Parser | None = None
+        #: The typedef scopes and global meta type environment every
+        #: file parsed in this context shares; None before the first.
+        self._parse_state: tuple[list[set[str]], TypeEnv] | None = None
+        #: ``(handler name, node)`` for each host call, during a load.
+        self._host_calls: list[tuple[str, Node]] | None = None
         #: Running sha256 of the options hash and every file loaded so
         #: far; None once a program run or a failed load has touched
         #: the context, after which new macros get no ``body_key``.
@@ -125,8 +163,10 @@ class MacroProcessor:
         return self.table.dispatch(name, position)
 
     def handle_macro_def(
-        self, macro: decls.MacroDef, parser: Parser
+        self, macro: decls.MacroDef, parser: Parser | None
     ) -> MacroDefinition:
+        if self._host_calls is not None:
+            self._host_calls.append(("handle_macro_def", macro))
         definition = MacroDefinition.from_node(macro)
         if self.compiled_patterns:
             definition.compiled_matcher = compile_pattern(
@@ -138,18 +178,24 @@ class MacroProcessor:
                 self._body_key_prefix, definition.name, definition.generation
             )
         definition.purity = analyze_macro_purity(
-            definition, self.interpreter.globals
+            definition, self.interpreter.globals, self.table.lookup
         )
         return definition
 
-    def handle_meta_decl(self, meta: decls.MetaDecl, parser: Parser) -> None:
+    def handle_meta_decl(
+        self, meta: decls.MetaDecl, parser: Parser | None
+    ) -> None:
+        if self._host_calls is not None:
+            self._host_calls.append(("handle_meta_decl", meta))
         inner = meta.inner
         if isinstance(inner, decls.Declaration):
             self.interpreter.run_meta_declaration(inner)
 
     def handle_meta_function(
-        self, fn: decls.FunctionDef, parser: Parser
+        self, fn: decls.FunctionDef, parser: Parser | None
     ) -> None:
+        if self._host_calls is not None:
+            self._host_calls.append(("handle_meta_function", fn))
         self.interpreter.define_meta_function(fn)
         # A (re)defined meta-function can change the behaviour — and
         # the purity — of macros analyzed earlier: drop stale memo
@@ -162,12 +208,16 @@ class MacroProcessor:
         for name in self.table.defined_names():
             definition = self.table.lookup(name)
             definition.purity = analyze_macro_purity(
-                definition, self.interpreter.globals
+                definition, self.interpreter.globals, self.table.lookup
             )
 
     def expand_invocation(
         self, invocation: nodes.MacroInvocation, position: str
     ) -> Node | list[Node]:
+        if self._host_calls is not None:
+            # Logged so the load is not memoized: a replay would skip
+            # this expansion's effects.
+            self._host_calls.append(("expand_invocation", invocation))
         # Semantic macros (§5): expose the C scope live at the
         # invocation site to type_of()/has_type().
         saved_scope = self.interpreter.semantic_scope
@@ -245,12 +295,12 @@ class MacroProcessor:
             source, host=self, expand_inline=True, filename=filename,
             stats=self.stats, diagnostics=diagnostics,
         )
-        if self._parser is not None:
+        if self._parse_state is not None:
             # Later files see typedefs and meta bindings of earlier ones.
-            parser.typedef_scopes = self._parser.typedef_scopes
-            parser.global_type_env = self._parser.global_type_env
-            parser.type_env = parser.global_type_env
-            parser.inferencer.env = parser.global_type_env
+            parser.typedef_scopes, env = self._parse_state
+            parser.global_type_env = parser.type_env = env
+            parser.inferencer.env = env
+        self._parse_state = (parser.typedef_scopes, parser.global_type_env)
         self._parser = parser
         return parser
 
@@ -274,19 +324,68 @@ class MacroProcessor:
         While the context has seen only successful loads, the macros
         defined here get a ``body_key`` naming this load history, so
         their compiled bodies are shared with every context that
-        loads the same files under the same options."""
+        loads the same files under the same options.  The parse is
+        shared the same way: a successful load that expands nothing
+        is memoized process-wide under that history, and a later
+        context with the same history replays it instead of parsing.
+        The replay hands the same parsed nodes to this context's
+        handlers, which build its own definitions, purity verdicts
+        and interpreter globals, and counts what the parse counted.
+        """
         history = self._load_history
+        key = None
         if history is not None:
             for part in (filename, source):
                 data = part.encode("utf-8", "surrogatepass")
                 history.update(b"%d:" % len(data) + data)
             self._body_key_prefix = history.hexdigest()
+            key = (self._body_key_prefix, self.compiled_patterns)
+        # Any failure below leaves the context unkeyed.
+        self._load_history = None
+        try:
+            parsed = None if key is None else _LOAD_MEMO.get(key)
+            if parsed is not None:
+                self._replay_load(parsed)
+            else:
+                parsed = self._parse_load(source, filename)
+                if key is not None and parsed is not None:
+                    _LOAD_MEMO.put(key, parsed, LOAD_MEMO_SIZE)
+        finally:
+            self._body_key_prefix = None
+        self._load_history = history
+
+    def _parse_load(self, source: str, filename: str) -> _ParsedLoad | None:
+        """Parse a package file; its replay record, or None when it
+        expanded an invocation."""
+        stats = self.stats
+        before = [getattr(stats, name) for name in _PARSE_COUNTERS]
+        self._host_calls = calls = []
         try:
             parser = self.make_parser(source, filename)
             self._parse_guarded(parser)
         finally:
-            self._body_key_prefix = None
-        self._load_history = history
+            self._host_calls = None
+        if any(handler == "expand_invocation" for handler, _ in calls):
+            return None
+        return _ParsedLoad(
+            host_calls=tuple(calls),
+            typedef_scopes=tuple(map(frozenset, parser.typedef_scopes)),
+            meta_types=tuple(parser.global_type_env.bindings.items()),
+            counters=tuple(
+                getattr(stats, name) - count
+                for name, count in zip(_PARSE_COUNTERS, before)
+            ),
+        )
+
+    def _replay_load(self, parsed: _ParsedLoad) -> None:
+        for handler, node in parsed.host_calls:
+            getattr(self, handler)(node, None)
+        env = TypeEnv()
+        env.bindings.update(parsed.meta_types)
+        self._parse_state = (list(map(set, parsed.typedef_scopes)), env)
+        stats = self.stats
+        for name, delta in zip(_PARSE_COUNTERS, parsed.counters):
+            setattr(stats, name, getattr(stats, name) + delta)
 
     # -- internal, options-driven pipeline stages ----------------------
 

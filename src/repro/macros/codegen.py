@@ -34,15 +34,18 @@ error message, merely at a slightly different step.
 The compiled body is cached on the
 :class:`~repro.macros.definition.MacroDefinition` and, for macros
 defined by :meth:`~repro.engine.MacroProcessor.load`, in a
-process-wide LRU memo of at most :data:`BODY_MEMO_SIZE`
-entries, so a fresh context that loads the same packages under the
-same options reuses the bodies an earlier context compiled.  The memo
-key is the definition's ``body_key``: a running sha256 of the options
-hash and every ``(filename, source)`` loaded before and including the
-defining file, the macro name and its definition generation.  Equal
-keys mean the definitions were parsed from the same text in the same
-state, so they compile to interchangeable bodies.  Macros defined in
-program files have no key and compile per context.
+process-wide :class:`~repro.macros.memo.ProcessMemo` of at most
+:data:`BODY_MEMO_SIZE` entries, so a fresh context that loads the
+same packages under the same options reuses the bodies an earlier
+context compiled.  The memo key is the definition's ``body_key``: a
+running sha256 of the options hash and every ``(filename, source)``
+loaded before and including the defining file, the macro name and its
+definition generation.  Equal keys mean the definitions were parsed
+from the same text in the same state (the engine's load memo, keyed
+by the same digest, replays the very same parsed nodes), so they
+compile to interchangeable bodies.  Macros defined in program files
+have no key and compile per context.  :func:`clear_body_memo` empties
+this memo and the load memo together.
 
 Environment: ``MS2_DISABLE_BODY_COMPILE=1`` is an operational kill
 switch forcing every body through the interpreter (used by CI's
@@ -55,16 +58,15 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
-import threading
 import time
-from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any
 
 from repro.asttypes.convert import bindings_from_declaration
 from repro.asttypes.types import CType, ListType
 from repro.cast import ctypes, decls, nodes, stmts
 from repro.cast.base import Node
 from repro.errors import MetaInterpError, Ms2Error
+from repro.macros.memo import ProcessMemo
 from repro.macros.pattern import ParamElement
 from repro.macros.template import (
     _PLACEHOLDER_CLASSES,
@@ -167,41 +169,13 @@ class CompiledBody:
 #: keeps; the least recently used entry goes first.
 BODY_MEMO_SIZE = 512
 
-_BODY_MEMO: OrderedDict[Hashable, CompiledBody | bool] = OrderedDict()
-_BODY_MEMO_LOCK = threading.Lock()
-
-
-def _reset_memo_lock() -> None:
-    # A build worker forked while another thread held the lock would
-    # otherwise wait on it forever.
-    global _BODY_MEMO_LOCK
-    _BODY_MEMO_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_memo_lock)
-
-
-def _memo_get(key: Hashable) -> CompiledBody | bool | None:
-    with _BODY_MEMO_LOCK:
-        body = _BODY_MEMO.get(key)
-        if body is not None:
-            _BODY_MEMO.move_to_end(key)
-        return body
-
-
-def _memo_put(key: Hashable, body: CompiledBody | bool) -> None:
-    with _BODY_MEMO_LOCK:
-        _BODY_MEMO[key] = body
-        _BODY_MEMO.move_to_end(key)
-        while len(_BODY_MEMO) > BODY_MEMO_SIZE:
-            _BODY_MEMO.popitem(last=False)
+_BODY_MEMO = ProcessMemo()
 
 
 def clear_body_memo() -> None:
-    """Forget every memoized body (benchmarks timing a real compile)."""
-    with _BODY_MEMO_LOCK:
-        _BODY_MEMO.clear()
+    """Forget every process-wide memo, compiled bodies and parsed
+    package loads alike (benchmarks timing a real compile)."""
+    ProcessMemo.clear_all()
 
 
 def _compile_or_fallback(definition: Any) -> CompiledBody | bool:
@@ -234,14 +208,14 @@ def get_compiled_body(definition: Any, stats: Any = None) -> CompiledBody | None
     body = definition.compiled_body
     if body is None:
         key = definition.body_key
-        body = None if key is None else _memo_get(key)
+        body = None if key is None else _BODY_MEMO.get(key)
         compile_ms = 0.0
         if body is None:
             start = time.perf_counter()
             body = _compile_or_fallback(definition)
             compile_ms = (time.perf_counter() - start) * 1000.0
             if key is not None:
-                _memo_put(key, body)
+                _BODY_MEMO.put(key, body, BODY_MEMO_SIZE)
         definition.compiled_body = body
         if stats is not None:
             stats.compile_time_ms += compile_ms

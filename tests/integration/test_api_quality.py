@@ -63,6 +63,7 @@ PUBLIC_MODULES = [
     "repro.macros.hygiene",
     "repro.macros.invocation",
     "repro.macros.lookahead",
+    "repro.macros.memo",
     "repro.macros.pattern",
     "repro.macros.template",
     "repro.meta",

@@ -10,6 +10,10 @@ check, so the surface can grow but never shrink.
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import repro.api as api
 
@@ -56,6 +60,21 @@ def test_facade_reexports_the_real_objects() -> None:
     assert api.Ms2Client is Ms2Client
     assert api.serve is serve
     assert api.CacheConfig is CacheConfig
+
+
+def test_library_import_leaves_the_daemon_unloaded() -> None:
+    """``serve`` resolves on first use: importing the library pulls
+    in neither the daemon nor asyncio."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.api\n"
+         "print(sorted({'repro.server', 'asyncio'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_expand_minimal_call_shape() -> None:
