@@ -1,19 +1,18 @@
-"""The telemetry HTTP sidecar of the expansion daemon.
+"""The HTTP front of the expansion daemon and of the shard fleet.
 
-``repro serve --metrics-port N`` starts this minimal asyncio HTTP/1.1
-listener next to the NDJSON protocol socket, so standard tooling —
-Prometheus scrapers, load-balancer health checks, ``curl``, ordinary
-load generators — can work against the daemon without speaking its
-protocol:
+``repro serve --metrics-port N`` starts one :class:`HttpFront`, a
+minimal asyncio HTTP/1.1 listener next to the NDJSON protocol socket,
+so standard tooling — Prometheus scrapers, load-balancer health
+checks, ``curl``, ordinary load generators — can work against the
+daemon or the fleet without speaking its protocol:
 
-- ``GET /metrics``  — Prometheus text exposition
-  (:meth:`~repro.telemetry.MetricsRegistry.render_prometheus`);
+- ``GET /metrics``  — Prometheus text exposition;
 - ``GET /healthz``  — drain-aware readiness: ``200 ok`` while
-  accepting work, ``503 draining`` once shutdown has begun (a load
-  balancer stops routing to a draining shard before its socket
-  closes);
-- ``GET /statusz``  — the JSON stats snapshot, byte-identical in
-  content to the NDJSON ``stats`` op;
+  accepting work, ``503`` with the reason (``draining``, or ``no live
+  shards`` for a fleet) otherwise — a load balancer stops routing to
+  a draining daemon before its socket closes;
+- ``GET /statusz``  — the JSON stats snapshot, the same content as
+  the NDJSON ``stats`` op;
 - ``POST /v1/expand`` — the HTTP/JSON **gateway**: the body is one
   protocol frame (same JSON as a NDJSON request line), the response
   body is the response frame.  Protocol error codes map onto HTTP
@@ -21,40 +20,36 @@ protocol:
   → 422, ...), so ordinary HTTP tooling sees meaningful statuses
   while :class:`~repro.client.Ms2Client` just reads the frame.
 
+The front owns everything HTTP: the listener, reading the head and
+writing the response, counting the route, the 400/404/405 replies and
+the gateway's ``frame_too_large``/``bad_request`` frames.  What it
+serves comes from its source — a single daemon
+(:class:`~repro.server.Ms2Server`) or a fleet supervisor
+(:class:`~repro.shard.ShardSupervisor`, which aggregates its shards
+and routes gateway frames to them).
+
 Deliberately tiny: one request per connection (``Connection:
 close``), no TLS, no routing table beyond the four paths.  It binds
 loopback by default; anything fancier belongs behind a real proxy.
-The sharded fleet gateway (:mod:`repro.shard`) reuses the framing
-helpers here.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
-from typing import TYPE_CHECKING, Any, Callable
+from http import HTTPStatus
+from typing import Any
 
-if TYPE_CHECKING:
-    from repro.server import Ms2Server
-    from repro.telemetry import MetricsRegistry
+from repro.server import _err
 
-__all__ = ["TelemetrySidecar", "http_status_for_frame"]
+__all__ = ["HttpFront", "http_status_for_frame"]
 
 #: Cap on the request head (request line + headers) we will read.
 _MAX_HEAD_BYTES = 16 * 1024
 
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-}
+#: Seconds a client gets to send the whole request head.
+_HEAD_TIMEOUT_S = 10.0
 
 #: Protocol error code → HTTP status for gateway responses.
 _CODE_STATUS = {
@@ -68,20 +63,10 @@ _CODE_STATUS = {
 }
 
 
-#: The paths the HTTP listeners answer.  ``ms2_http_requests_total``
-#: counts every other path under the one route ``other``, so clients
-#: sending junk paths cannot grow the series set.
+#: The paths the front answers.  ``ms2_http_requests_total`` counts
+#: every other path under the one route ``other``, so clients sending
+#: junk paths cannot grow the series set.
 HTTP_ROUTES = frozenset({"/metrics", "/healthz", "/statusz", "/v1/expand"})
-
-
-def count_http_request(registry: "MetricsRegistry", path: str) -> None:
-    """Count one HTTP request in ``registry``'s
-    ``ms2_http_requests_total``, labeled by route."""
-    registry.counter(
-        "ms2_http_requests_total",
-        "HTTP requests served, by route (unknown paths: other)",
-        ("route",),
-    ).inc(route=path if path in HTTP_ROUTES else "other")
 
 
 def http_status_for_frame(frame: dict[str, Any]) -> int:
@@ -102,35 +87,48 @@ def retry_after_header(frame: dict[str, Any]) -> dict[str, str]:
     return {"Retry-After": str(max(1, int(-(-hint // 1000))))}
 
 
-async def read_http_request(
+async def _read_head(
     reader: asyncio.StreamReader,
-    max_body_bytes: int,
-) -> tuple[str, str, dict[str, str], bytes] | None:
-    """``(method, path, headers, body)`` for one HTTP/1.1 request, or
-    None for an unparseable/oversized head.  Header names are
-    lower-cased; the body is read per ``Content-Length`` and clipped
-    to ``max_body_bytes`` (a longer declared length returns an empty
-    body with the special header ``x-ms2-body-too-large`` set)."""
-    try:
-        request_line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-    except asyncio.TimeoutError:
-        return None
+) -> tuple[str, str, dict[str, str]] | None:
+    """``(method, target, headers)``, or None for an unparseable or
+    oversized head."""
+    request_line = await reader.readline()
     parts = request_line.decode("latin-1", "replace").split()
     if len(parts) < 2:
         return None
-    method, target = parts[0], parts[1]
     headers: dict[str, str] = {}
     consumed = len(request_line)
     while consumed < _MAX_HEAD_BYTES:
         line = await reader.readline()
         consumed += len(line)
         if line in (b"\r\n", b"\n", b""):
-            break
+            return parts[0], parts[1], headers
         name, sep, value = line.decode("latin-1", "replace").partition(":")
         if sep:
             headers[name.strip().lower()] = value.strip()
-    else:
+    return None
+
+
+async def read_http_request(
+    reader: asyncio.StreamReader,
+    max_body_bytes: int,
+) -> tuple[str, str, dict[str, str], bytes] | None:
+    """``(method, path, headers, body)`` for one HTTP/1.1 request, or
+    None for an unparseable, oversized or stalled head.  Header names
+    are lower-cased; the body is read per ``Content-Length`` and
+    clipped to ``max_body_bytes`` (a longer declared length returns an
+    empty body with the special header ``x-ms2-body-too-large``
+    set)."""
+    try:
+        head = await asyncio.wait_for(
+            _read_head(reader), timeout=_HEAD_TIMEOUT_S
+        )
+    except (asyncio.TimeoutError, ValueError):
+        # ValueError: one line outran the stream's buffer limit.
         return None
+    if head is None:
+        return None
+    method, target, headers = head
     body = b""
     try:
         length = int(headers.get("content-length", "0"))
@@ -157,7 +155,7 @@ async def write_http_response(
 ) -> None:
     """One ``Connection: close`` HTTP/1.1 response."""
     lines = [
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}",
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
     ]
@@ -176,17 +174,33 @@ _JSON = "application/json; charset=utf-8"
 Response = tuple[int, str, bytes, dict[str, str]]
 
 
-class TelemetrySidecar:
-    """One HTTP listener serving a daemon's telemetry endpoints and
-    the single-process HTTP/JSON gateway."""
+def gateway_response(frame: dict[str, Any]) -> Response:
+    """An HTTP response carrying one protocol response frame."""
+    return (
+        http_status_for_frame(frame),
+        _JSON,
+        json.dumps(frame).encode("utf-8"),
+        retry_after_header(frame),
+    )
+
+
+class HttpFront:
+    """One HTTP listener serving a source's four routes.
+
+    The source is the daemon or the fleet supervisor.  It provides
+    ``registry`` and ``max_frame_bytes``, ``http_health()`` (None when
+    ready, else the 503 reason), and the coroutines ``http_metrics()``
+    (exposition text), ``http_stats()`` (the ``stats`` payload) and
+    ``dispatch(frame)`` (one protocol frame's response frame).
+    """
 
     def __init__(
         self,
-        server: "Ms2Server",
+        source: Any,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.server = server
+        self.source = source
         self.host = host
         self.port = port
         self._http: asyncio.AbstractServer | None = None
@@ -227,128 +241,64 @@ class TelemetrySidecar:
             pass
         finally:
             writer.close()
-            try:
+            with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     async def _respond(self, reader: asyncio.StreamReader) -> Response:
         """(status, content type, body, extra headers) per request."""
-        parsed = await read_http_request(reader, self.server.max_frame_bytes)
+        source = self.source
+        parsed = await read_http_request(reader, source.max_frame_bytes)
         if parsed is None:
             return 400, _PLAIN, b"bad request\n", {}
         method, path, headers, body = parsed
-        count_http_request(self.server.registry, path)
-        if method == "POST":
-            if path != "/v1/expand":
-                return 405, _PLAIN, b"method not allowed\n", {}
-            return await self._gateway(headers, body)
+        source.registry.counter(
+            "ms2_http_requests_total",
+            "HTTP requests served, by route (unknown paths: other)",
+            ("route",),
+        ).inc(route=path if path in HTTP_ROUTES else "other")
+        if method == "POST" and path == "/v1/expand":
+            return await self._expand(headers, body)
         if method != "GET":
             return 405, _PLAIN, b"method not allowed\n", {}
-        handler = self._routes().get(path)
-        if handler is None:
+        if path == "/metrics":
+            text = await source.http_metrics()
             return (
-                404,
-                _PLAIN,
-                b"not found; try /metrics /healthz /statusz "
-                b"or POST /v1/expand\n",
+                200,
+                "text/plain; version=0.0.4; charset=utf-8",
+                text.encode("utf-8"),
                 {},
             )
-        return handler()
-
-    async def _gateway(
-        self, headers: dict[str, str], body: bytes
-    ) -> Response:
-        """``POST /v1/expand``: dispatch one protocol frame."""
-        frame = gateway_parse_body(headers, body)
-        if frame is None:
-            return (
-                400,
-                _JSON,
-                json.dumps(
-                    _gateway_error("bad_request", "body must be one JSON frame")
-                ).encode("utf-8"),
-                {},
-            )
-        if "too_large" in frame:
-            return (
-                413,
-                _JSON,
-                json.dumps(
-                    _gateway_error(
-                        "frame_too_large",
-                        f"body of {frame['too_large']} bytes exceeds "
-                        f"max_frame_bytes",
-                    )
-                ).encode("utf-8"),
-                {},
-            )
-        response = await self.server._dispatch(frame["frame"])
-        return gateway_response(response)
-
-    def _routes(self) -> dict[str, Callable[[], Response]]:
-        return {
-            "/metrics": self._metrics,
-            "/healthz": self._healthz,
-            "/statusz": self._statusz,
-        }
-
-    def _metrics(self) -> Response:
-        body = self.server.registry.render_prometheus()
+        if path == "/healthz":
+            reason = source.http_health()
+            if reason is not None:
+                return 503, _PLAIN, f"{reason}\n".encode("utf-8"), {}
+            return 200, _PLAIN, b"ok\n", {}
+        if path == "/statusz":
+            payload = await source.http_stats()
+            body = json.dumps(payload, indent=2).encode("utf-8")
+            return 200, _JSON, body, {}
         return (
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            body.encode("utf-8"),
+            404,
+            _PLAIN,
+            b"not found; try /metrics /healthz /statusz "
+            b"or POST /v1/expand\n",
             {},
         )
 
-    def _healthz(self) -> Response:
-        if self.server.draining:
-            return 503, _PLAIN, b"draining\n", {}
-        return 200, _PLAIN, b"ok\n", {}
-
-    def _statusz(self) -> Response:
-        payload = self.server.stats_payload()
-        body = json.dumps(payload, indent=2).encode("utf-8")
-        return 200, _JSON, body, {}
-
-
-# ----------------------------------------------------------------------
-# Gateway framing helpers (shared with the fleet gateway in
-# :mod:`repro.shard`)
-# ----------------------------------------------------------------------
-
-
-def _gateway_error(code: str, message: str) -> dict[str, Any]:
-    return {
-        "id": None,
-        "ok": False,
-        "error": {"code": code, "message": message},
-    }
-
-
-def gateway_parse_body(
-    headers: dict[str, str], body: bytes
-) -> dict[str, Any] | None:
-    """Decode a ``POST /v1/expand`` body into ``{"frame": ...}``, or
-    ``{"too_large": N}`` when :func:`read_http_request` clipped it,
-    or None when the body is not a JSON object."""
-    if "x-ms2-body-too-large" in headers:
-        return {"too_large": headers["x-ms2-body-too-large"]}
-    try:
-        frame = json.loads(body)
-    except ValueError:
-        return None
-    if not isinstance(frame, dict):
-        return None
-    return {"frame": frame}
-
-
-def gateway_response(frame: dict[str, Any]) -> Response:
-    """An HTTP response carrying one protocol response frame."""
-    return (
-        http_status_for_frame(frame),
-        _JSON,
-        json.dumps(frame).encode("utf-8"),
-        retry_after_header(frame),
-    )
+    async def _expand(self, headers: dict[str, str], body: bytes) -> Response:
+        """``POST /v1/expand``: dispatch one protocol frame."""
+        too_large = headers.get("x-ms2-body-too-large")
+        if too_large is not None:
+            return gateway_response(_err(
+                None, None, "frame_too_large",
+                f"body of {too_large} bytes exceeds max_frame_bytes",
+            ))
+        try:
+            frame = json.loads(body)
+        except ValueError:
+            frame = None
+        if not isinstance(frame, dict):
+            return gateway_response(_err(
+                None, None, "bad_request", "body must be one JSON frame"
+            ))
+        return gateway_response(await self.source.dispatch(frame))

@@ -519,10 +519,10 @@ class Ms2Server:
         Wall-clock budget imposed on work requests whose options set
         no ``deadline_s`` of their own (None = unbounded).
     metrics_port / metrics_host:
-        When a port is given (0 = ephemeral), an HTTP telemetry
-        sidecar serves ``/metrics`` (Prometheus text), ``/healthz``
-        (drain-aware readiness) and ``/statusz`` (the ``stats`` op as
-        JSON) — see :mod:`repro.metrics_http`.
+        When a port is given (0 = ephemeral), an HTTP front serves
+        ``/metrics`` (Prometheus text), ``/healthz`` (drain-aware
+        readiness), ``/statusz`` (the ``stats`` op as JSON) and the
+        ``POST /v1/expand`` gateway — see :mod:`repro.metrics_http`.
     event_log:
         Path or writable text stream for the structured JSONL event
         log: one ``request`` and one ``response`` record per frame,
@@ -640,8 +640,8 @@ class Ms2Server:
         self.event_log: EventLog | None = (
             EventLog(event_log) if event_log is not None else None
         )
-        #: The HTTP telemetry sidecar, started with the listener when
-        #: ``metrics_port`` was given.
+        #: The HTTP front (``sidecar``), started with the listener
+        #: when ``metrics_port`` was given.
         self.metrics_port = metrics_port
         self.metrics_host = metrics_host
         self.sidecar: Any = None
@@ -686,6 +686,17 @@ class Ms2Server:
     def draining(self) -> bool:
         """True once shutdown has begun (``/healthz`` flips to 503)."""
         return self._draining
+
+    # The HTTP front's source (see repro.metrics_http.HttpFront).
+
+    def http_health(self) -> str | None:
+        return "draining" if self._draining else None
+
+    async def http_metrics(self) -> str:
+        return self.registry.render_prometheus()
+
+    async def http_stats(self) -> dict[str, Any]:
+        return self.stats_payload()
 
     def _register_families(self, reg: MetricsRegistry) -> dict[str, Any]:
         """Register the daemon's own families (the worker pool adds
@@ -908,9 +919,9 @@ class Ms2Server:
                 limit=self.max_frame_bytes,
             )
         if self.metrics_port is not None:
-            from repro.metrics_http import TelemetrySidecar
+            from repro.metrics_http import HttpFront
 
-            self.sidecar = TelemetrySidecar(
+            self.sidecar = HttpFront(
                 self, host=self.metrics_host, port=self.metrics_port
             )
             await self.sidecar.start()
@@ -1093,6 +1104,10 @@ class Ms2Server:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
+
+    async def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
+        """The HTTP front's entry: the same path as a socket frame."""
+        return await self._dispatch(request)
 
     async def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         """Answer one frame with its correlation ID attached.

@@ -19,11 +19,13 @@
   fault) is restarted and the blip recorded in
   ``ms2_shard_restarts_total``; clients with a
   :class:`~repro.client.RetryPolicy` ride through it,
-- optionally runs the :class:`FleetGateway` on ``metrics_port``: the
-  fleet's HTTP face, aggregating ``/metrics`` and ``/statusz`` across
-  shards via :func:`repro.telemetry.merge_snapshots` and routing
-  ``POST /v1/expand`` by ``options_hash`` so one configuration's
-  traffic lands on the shard keeping its warm workers.
+- optionally fronts the fleet with a
+  :class:`~repro.metrics_http.HttpFront` on ``metrics_port``, the
+  supervisor as its source: ``/metrics`` and ``/statusz`` aggregate
+  every shard via :func:`repro.telemetry.merge_snapshots`, and
+  ``POST /v1/expand`` routes by ``options_hash`` so one
+  configuration's traffic lands on the shard keeping its warm
+  workers.
 
 Worker processes are plain ``subprocess`` children, not ``os.fork``:
 forking a process that already runs an asyncio loop (threads, epoll
@@ -48,12 +50,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.metrics_http import count_http_request
+from repro.metrics_http import HttpFront
 from repro.options import Ms2Options
 from repro.serveconfig import ServeConfig
+from repro.server import _err, _ok
+from repro.telemetry import new_request_id
 
 __all__ = [
-    "FleetGateway",
     "ShardSupervisor",
     "fleet_stats_view",
     "run_sharded",
@@ -181,8 +184,10 @@ class ShardSupervisor:
     ``await start()``, ``install_signal_handlers()``,
     ``await serve_until_stopped()`` — so :func:`repro.server.serve`
     and the CLI treat one daemon and a fleet uniformly.  Exposes
-    ``.address`` (the shared TCP address) and ``.sidecar`` (the
-    :class:`FleetGateway`, when ``metrics_port`` was configured).
+    ``.address`` (the shared TCP address) and ``.sidecar`` (its
+    :class:`~repro.metrics_http.HttpFront`, when ``metrics_port`` was
+    configured).  It is that front's source: the fleet answers
+    ``/metrics``, ``/statusz``, ``/healthz`` and gateway frames.
     """
 
     def __init__(
@@ -201,7 +206,7 @@ class ShardSupervisor:
         self.port: int | None = config.port
         self.shards: list[_ShardState] = []
         self.restarts_total = 0
-        self.gateway: "FleetGateway | None" = None
+        self.gateway: HttpFront | None = None
         self.started = time.monotonic()
         self._placeholder: socket.socket | None = None
         self._control_dir: Path | None = None
@@ -275,7 +280,7 @@ class ShardSupervisor:
                 )
             )
         if self.config.metrics_port is not None:
-            self.gateway = FleetGateway(
+            self.gateway = HttpFront(
                 self,
                 host=self.config.metrics_host,
                 port=self.config.metrics_port,
@@ -388,9 +393,9 @@ class ShardSupervisor:
         return f"{self.host}:{self.port}"
 
     @property
-    def sidecar(self) -> "FleetGateway | None":
-        """The fleet gateway, in the slot the single-process server
-        keeps its telemetry sidecar (CLI announcements duck-type)."""
+    def sidecar(self) -> HttpFront | None:
+        """The fleet's HTTP front, in the slot the single-process
+        server keeps its own (CLI announcements duck-type)."""
         return self.gateway
 
     @property
@@ -431,15 +436,10 @@ class ShardSupervisor:
                 )
             except (ConnectionError, OSError):
                 continue
-        return {
-            "id": frame.get("id"),
-            "ok": False,
-            "error": {
-                "code": "unavailable",
-                "message": "no shard reachable (fleet restarting?)",
-                "retry_after_ms": 200,
-            },
-        }
+        return _err(
+            frame.get("id"), frame.get("op"), "unavailable",
+            "no shard reachable (fleet restarting?)", retry_after_ms=200,
+        )
 
     async def _shard_telemetry(self) -> list[dict[str, Any]]:
         """Every reachable shard's ``telemetry`` reply, shard order."""
@@ -490,6 +490,60 @@ class ShardSupervisor:
         except Exception:
             return 0
         return shard_for_options_hash(options_hash, self.config.shards)
+
+    # -- the HTTP front's source ----------------------------------------
+
+    @property
+    def max_frame_bytes(self) -> int:
+        return self.config.max_frame_bytes
+
+    def http_health(self) -> str | None:
+        if self._draining:
+            return "draining"
+        return None if self.live_shards() else "no live shards"
+
+    async def http_metrics(self) -> str:
+        from repro.telemetry import render_snapshot
+
+        return render_snapshot(await self.fleet_snapshot())
+
+    async def http_stats(self) -> dict[str, Any]:
+        return await self.fleet_stats()
+
+    async def dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
+        """Fleet semantics for one gateway frame: the read-only fleet
+        ops and ``shutdown`` answer here, work routes to a shard.
+        Like the daemon, every response echoes the frame's
+        ``request_id``, minted here when the frame carries none."""
+        op = frame.get("op")
+        rid = frame.get("id")
+        request_id = frame.get("request_id")
+        if not (isinstance(request_id, str) and request_id):
+            request_id = new_request_id()
+        if op == "ping":
+            response = _ok(rid, op, {
+                "pong": True,
+                "gateway": True,
+                "shards": self.config.shards,
+                "shards_alive": len(self.live_shards()),
+                "pid": os.getpid(),
+            })
+        elif op == "stats":
+            response = _ok(rid, op, await self.fleet_stats())
+        elif op == "telemetry":
+            response = _ok(
+                rid, op, {"snapshot": await self.fleet_snapshot()}
+            )
+        elif op == "shutdown":
+            self.request_shutdown()
+            response = _ok(rid, op, {"draining": True})
+        else:
+            response = await self.shard_request(
+                {**frame, "request_id": request_id},
+                preferred=self.route_for_frame(frame),
+            )
+        response["request_id"] = request_id
+        return response
 
     # -- shutdown --------------------------------------------------------
 
@@ -550,210 +604,6 @@ class ShardSupervisor:
         self.request_shutdown()
         if self._drain_task is not None:
             await self._drain_task
-
-
-# ---------------------------------------------------------------------------
-# The fleet gateway
-# ---------------------------------------------------------------------------
-
-
-class FleetGateway:
-    """The HTTP face of a shard fleet, on the ``metrics_port``.
-
-    Same four routes as the single-process
-    :class:`~repro.metrics_http.TelemetrySidecar` — ``/metrics``,
-    ``/healthz``, ``/statusz``, ``POST /v1/expand`` — but fleet-wide:
-    telemetry reads aggregate every shard, and gateway frames route
-    to the warm-affinity shard (falling back to any live shard, so a
-    restarting shard never surfaces as a client failure).
-    """
-
-    def __init__(
-        self,
-        supervisor: ShardSupervisor,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.supervisor = supervisor
-        self.host = host
-        self.port = port
-        self._http: asyncio.AbstractServer | None = None
-        self.bound_port: int | None = None
-
-    async def start(self) -> None:
-        self._http = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
-        )
-        sockets = self._http.sockets or []
-        if sockets:
-            self.bound_port = sockets[0].getsockname()[1]
-
-    async def aclose(self) -> None:
-        if self._http is not None:
-            self._http.close()
-            await self._http.wait_closed()
-            self._http = None
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.bound_port or self.port}"
-
-    # ------------------------------------------------------------------
-
-    async def _handle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        from repro.metrics_http import (
-            read_http_request,
-            write_http_response,
-        )
-
-        try:
-            parsed = await read_http_request(
-                reader, self.supervisor.config.max_frame_bytes
-            )
-            status, content_type, body, extra = await self._respond(parsed)
-            await write_http_response(
-                writer, status, content_type, body, extra
-            )
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-
-    async def _respond(
-        self,
-        parsed: tuple[str, str, dict[str, str], bytes] | None,
-    ) -> tuple[int, str, bytes, dict[str, str]]:
-        plain = "text/plain; charset=utf-8"
-        if parsed is None:
-            return 400, plain, b"bad request\n", {}
-        method, path, headers, body = parsed
-        count_http_request(self.supervisor.registry, path)
-        if method == "POST":
-            if path != "/v1/expand":
-                return 405, plain, b"method not allowed\n", {}
-            return await self._gateway(headers, body)
-        if method != "GET":
-            return 405, plain, b"method not allowed\n", {}
-        if path == "/metrics":
-            return await self._metrics()
-        if path == "/healthz":
-            return self._healthz()
-        if path == "/statusz":
-            return await self._statusz()
-        return (
-            404,
-            plain,
-            b"not found; try /metrics /healthz /statusz "
-            b"or POST /v1/expand\n",
-            {},
-        )
-
-    async def _metrics(self) -> tuple[int, str, bytes, dict[str, str]]:
-        from repro.telemetry import render_snapshot
-
-        merged = await self.supervisor.fleet_snapshot()
-        return (
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            render_snapshot(merged).encode("utf-8"),
-            {},
-        )
-
-    def _healthz(self) -> tuple[int, str, bytes, dict[str, str]]:
-        plain = "text/plain; charset=utf-8"
-        if self.supervisor.draining:
-            return 503, plain, b"draining\n", {}
-        if not self.supervisor.live_shards():
-            return 503, plain, b"no live shards\n", {}
-        return 200, plain, b"ok\n", {}
-
-    async def _statusz(self) -> tuple[int, str, bytes, dict[str, str]]:
-        payload = await self.supervisor.fleet_stats()
-        return (
-            200,
-            "application/json; charset=utf-8",
-            json.dumps(payload, indent=2).encode("utf-8"),
-            {},
-        )
-
-    async def _gateway(
-        self, headers: dict[str, str], body: bytes
-    ) -> tuple[int, str, bytes, dict[str, str]]:
-        from repro.metrics_http import (
-            gateway_parse_body,
-            gateway_response,
-        )
-
-        parsed = gateway_parse_body(headers, body)
-        if parsed is None:
-            frame = {
-                "id": None,
-                "ok": False,
-                "error": {
-                    "code": "bad_request",
-                    "message": "body must be one JSON frame",
-                },
-            }
-            return gateway_response(frame)
-        if "too_large" in parsed:
-            frame = {
-                "id": None,
-                "ok": False,
-                "error": {
-                    "code": "frame_too_large",
-                    "message": (
-                        f"body of {parsed['too_large']} bytes exceeds "
-                        "max_frame_bytes"
-                    ),
-                },
-            }
-            return gateway_response(frame)
-        frame = parsed["frame"]
-        response = await self._dispatch(frame)
-        return gateway_response(response)
-
-    async def _dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
-        """Fleet semantics for one protocol frame: read-only fleet
-        ops answer here, work routes to a shard."""
-        supervisor = self.supervisor
-        op = frame.get("op")
-        rid = frame.get("id")
-        request_id = frame.get("request_id")
-
-        def _ok(result: dict[str, Any]) -> dict[str, Any]:
-            out: dict[str, Any] = {"id": rid, "ok": True, "result": result}
-            if request_id:
-                out["request_id"] = request_id
-            return out
-
-        if op == "ping":
-            return _ok(
-                {
-                    "pong": True,
-                    "gateway": True,
-                    "shards": supervisor.config.shards,
-                    "shards_alive": len(supervisor.live_shards()),
-                    "pid": os.getpid(),
-                }
-            )
-        if op == "stats":
-            return _ok(await supervisor.fleet_stats())
-        if op == "telemetry":
-            return _ok({"snapshot": await supervisor.fleet_snapshot()})
-        if op == "shutdown":
-            supervisor.request_shutdown()
-            return _ok({"draining": True})
-        preferred = supervisor.route_for_frame(frame)
-        response = await supervisor.shard_request(
-            frame, preferred=preferred
-        )
-        return response
 
 
 # ---------------------------------------------------------------------------

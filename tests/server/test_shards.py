@@ -186,15 +186,27 @@ def test_gateway_http_statuses(fleet_factory) -> None:
     fleet = fleet_factory(metrics_port=0)
     url = fleet.gateway_url
 
-    frame = {"op": "ping", "id": 1}
-    request = urllib.request.Request(
-        f"{url}/v1/expand",
-        data=json.dumps(frame).encode(),
-        method="POST",
-    )
-    with urllib.request.urlopen(request) as response:
-        assert response.status == 200
-        assert json.loads(response.read())["ok"] is True
+    # Frames the fleet answers itself follow the daemon's contract:
+    # they name their op and echo the request_id, minting one when
+    # the frame carries none.
+    for frame in (
+        {"op": "ping", "id": 1},
+        {"op": "ping", "id": 2, "request_id": "gateway-ping"},
+    ):
+        request = urllib.request.Request(
+            f"{url}/v1/expand",
+            data=json.dumps(frame).encode(),
+            method="POST",
+        )
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 200
+            reply = json.loads(response.read())
+        assert reply["ok"] is True
+        assert reply["op"] == "ping"
+        assert reply["request_id"]
+        assert reply["request_id"] == frame.get(
+            "request_id", reply["request_id"]
+        )
 
     bad = urllib.request.Request(
         f"{url}/v1/expand", data=b"not json", method="POST"
