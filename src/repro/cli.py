@@ -375,8 +375,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--package-file", action="append", default=[], type=Path,
         metavar="PATH",
-        help="macro-package source file pre-loaded into every warm "
-        "worker (repeatable)",
+        help="macro-package source file loaded into every worker "
+        "(repeatable)",
     )
     _add_option_flags(serve)
     listen = serve.add_mutually_exclusive_group(required=True)
@@ -421,18 +421,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="admitted requests waiting beyond --max-inflight before "
         f"the server answers 'busy' "
         f"(default {serve_defaults.queue_limit})",
-    )
-    serve.add_argument(
-        "--warm-spares", type=int,
-        default=serve_defaults.warm_spares, metavar="N",
-        help="pre-built workers kept per options/preamble key "
-        f"(default {serve_defaults.warm_spares})",
-    )
-    serve.add_argument(
-        "--no-prewarm", dest="prewarm", action="store_false",
-        default=serve_defaults.prewarm,
-        help="skip building the default worker pool before accepting "
-        "traffic (faster startup, slower first requests)",
     )
     serve.add_argument(
         "--request-deadline-ms", type=float,
@@ -627,8 +615,6 @@ def serve_config_from_args(args: argparse.Namespace) -> "Any":
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
         max_frame_bytes=args.max_frame_bytes,
-        warm_spares=args.warm_spares,
-        prewarm=args.prewarm,
         request_deadline_ms=args.request_deadline_ms,
         drain_s=args.drain_s,
         cache_dir=(

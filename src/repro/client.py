@@ -441,7 +441,7 @@ class Ms2Client:
 
     def shutdown(self) -> dict[str, Any]:
         """Ask the daemon to drain and exit (the response arrives
-        before the drain starts)."""
+        before it stops)."""
         result = self.call("shutdown")
         self.close()
         return result

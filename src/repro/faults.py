@@ -15,7 +15,7 @@ Sites (see ``docs/ROBUSTNESS.md`` for the catalog):
 ``cache.store``         :meth:`PersistentCache.store` writing a snapshot
 ``lock.acquire``        :meth:`FileLock.acquire` taking an entry lock
 ``server.frame_write``  the daemon writing a response frame
-``pool.build_worker``   building a warm server worker (preamble load)
+``pool.build_worker``   building a server worker (preamble load)
 ``driver.worker``       a build worker expanding one translation unit
 ``eventlog.write``      appending a structured event-log record
 ``remote_cache.get``    ``RemoteCacheBackend`` fetching a snapshot

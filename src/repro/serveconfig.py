@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_MAX_INFLIGHT",
     "DEFAULT_QUEUE_LIMIT",
-    "DEFAULT_WARM_SPARES",
     "SERVE_FIELDS",
     "ServeConfig",
 ]
@@ -43,9 +42,6 @@ DEFAULT_QUEUE_LIMIT = 16
 
 #: Seconds SIGTERM waits for in-flight requests before forcing.
 DEFAULT_DRAIN_S = 10.0
-
-#: Warm spare workers kept per (options, preamble) pool key.
-DEFAULT_WARM_SPARES = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +67,7 @@ class ServeConfig:
     shards: int = 1
 
     # -- preamble -------------------------------------------------------
-    #: Standard macro packages pre-loaded into every warm worker.
+    #: Standard macro packages loaded into every worker.
     packages: tuple[str, ...] = ()
     #: ``(filename, source)`` pairs loaded after the packages.
     package_sources: tuple[tuple[str, str], ...] = ()
@@ -83,10 +79,6 @@ class ServeConfig:
     queue_limit: int = DEFAULT_QUEUE_LIMIT
     #: Hard cap on one request/response frame, bytes.
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    #: Pre-built workers kept per options/preamble pool key.
-    warm_spares: int = DEFAULT_WARM_SPARES
-    #: Build the default worker pool before accepting traffic.
-    prewarm: bool = True
 
     # -- budgets / shutdown ---------------------------------------------
     #: Server-side wall-clock budget (milliseconds) for requests whose
@@ -226,10 +218,6 @@ def _check_field(name: str, value: Any) -> Any:
         ):
             raise ValueError(f"{name} must be a list of strings")
         return tuple(value)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ValueError(f"serve option {name!r} must be a boolean")
-        return value
     if isinstance(default, int) and default is not None:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"serve option {name!r} must be an integer")

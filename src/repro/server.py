@@ -4,10 +4,9 @@ Every ``repro expand`` invocation pays full process startup — Python
 interpreter boot, package imports, and the macro-package preamble —
 before the first token is scanned.  :class:`Ms2Server` amortizes all
 of that: an asyncio daemon that listens on a Unix socket or TCP port,
-keeps a pool of **warm workers** (fresh
-:class:`~repro.engine.MacroProcessor` instances with the package
-preamble pre-loaded), and serves a newline-delimited JSON protocol, so
-a warm-path expansion is one socket round-trip.
+builds each request's worker from the process-wide package-load memo,
+and serves a newline-delimited JSON protocol, so a warm-path expansion
+is one socket round-trip.
 
 Protocol (one JSON object per LF-terminated line, UTF-8)::
 
@@ -39,9 +38,9 @@ Design notes:
   processor (program-defined macros, typedef scopes leak into later
   runs), so a worker serves exactly one request and is retired — the
   isolation guarantee of :mod:`repro.driver` kept intact.  Warmth
-  comes from *pre-building*: the pool keeps spare workers with the
-  preamble already loaded per ``(options_hash, preamble)`` key, and a
-  replacement spare is built off the request path after each use.
+  comes from the package-load memo: each request builds its worker by
+  replaying a preamble this process already parsed, and ``start()``
+  builds the default worker once to fill the memo.
 - **Caches are shared with ``repro build``.**  ``expand_file``
   requests route through a :class:`~repro.driver.scheduler.BuildSession`
   over the server's persistent snapshot cache directory, so daemon
@@ -78,8 +77,9 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from repro import __version__, faults
-from repro.engine import MacroProcessor
+from repro.engine import LOAD_MEMO_SIZE, MacroProcessor
 from repro.errors import Ms2Error
+from repro.macros.memo import ProcessMemo
 from repro.diagnostics import Diagnostic
 from repro.options import Ms2Options
 from repro.serveconfig import (
@@ -87,7 +87,6 @@ from repro.serveconfig import (
     DEFAULT_MAX_FRAME_BYTES,
     DEFAULT_MAX_INFLIGHT,
     DEFAULT_QUEUE_LIMIT,
-    DEFAULT_WARM_SPARES,
     ServeConfig,
 )
 from repro.stats import PipelineStats
@@ -160,59 +159,31 @@ _TRANSIENT_ERROR_TYPES = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# Warm worker pool
+# Worker pool
 # ---------------------------------------------------------------------------
 
 
 class WorkerPool:
-    """Warm spare :class:`MacroProcessor` instances, keyed by
-    ``(options_hash, preamble signature)``.
+    """Builds one single-use :class:`MacroProcessor` per request,
+    keyed by ``(options_hash, preamble signature)``.
 
     A worker is built fresh (packages registered, package sources
     loaded) and *used once*: serving a request hands the caller an
-    exclusive processor and never takes it back.  :meth:`replenish`
-    rebuilds a spare off the request path, so steady-state requests
-    always find one waiting.  Its counters live in ``registry`` (the
-    daemon's; a private one when none is given).
+    exclusive processor and never takes it back.  A key this pool has
+    built before is *warm*: its build replays memoized package loads.
+    Its counters live in the daemon's ``registry``.
     """
 
-    def __init__(
-        self,
-        spares: int = DEFAULT_WARM_SPARES,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        self.spares = max(0, int(spares))
-        self._idle: dict[str, list[MacroProcessor]] = {}
-        self._lock = threading.Lock()
-        reg = registry if registry is not None else MetricsRegistry()
+    def __init__(self, registry: MetricsRegistry) -> None:
+        #: Keys built so far, bounded like the load memo they mirror
+        #: and cleared with it (``ProcessMemo.clear_all``).
+        self._built = ProcessMemo()
         self._warm_hits = _counter(
-            reg, "ms2_worker_pool_warm_hits_total",
-            "Requests served by a pre-built warm worker")
+            registry, "ms2_worker_pool_warm_hits_total",
+            "Requests whose worker replayed memoized package loads")
         self._cold_builds = _counter(
-            reg, "ms2_worker_pool_cold_builds_total",
-            "Requests that built their worker inline")
-        self._replenishes = _counter(
-            reg, "ms2_worker_pool_replenishes_total",
-            "Warm spares rebuilt off the request path")
-        self._replenish_ms = _counter(
-            reg, "ms2_worker_pool_replenish_ms_total",
-            "Wall milliseconds spent rebuilding warm spares")
-        self._prewarms = _counter(
-            reg, "ms2_worker_pool_prewarms_total",
-            "Warm spares built before the listener accepted traffic")
-        self._replenish_failures = _counter(
-            reg, "ms2_worker_pool_replenish_failures_total",
-            "Warm-spare builds that raised (retried off the request "
-            "path)")
-        self._idle_gauge = reg.gauge(
-            "ms2_worker_pool_idle",
-            "Warm spare workers currently idle, by pool key",
-            ("pool",),
-        )
-        reg.gauge(
-            "ms2_worker_pool_spares",
-            "Configured spare workers per pool key", merge="max",
-        ).set(self.spares)
+            registry, "ms2_worker_pool_cold_builds_total",
+            "Requests whose worker was the first built for its key")
 
     @staticmethod
     def key_for(
@@ -233,14 +204,14 @@ class WorkerPool:
             digest.update(source.encode("utf-8"))
         return digest.hexdigest()[:16]
 
-    @staticmethod
     def build_worker(
+        self,
         options: Ms2Options,
         package_names: Sequence[str],
         package_sources: Sequence[tuple[str, str]],
     ) -> MacroProcessor:
-        """A fresh processor with the preamble loaded (the slow part
-        a warm hit skips)."""
+        """A fresh processor with the preamble loaded.  Its pool key
+        is warm from then on."""
         from repro.packages import register_named
 
         if faults.ACTIVE is not None:
@@ -250,6 +221,8 @@ class WorkerPool:
             register_named(mp, name)
         for filename, source in package_sources:
             mp.load(source, filename)
+        key = self.key_for(options, package_names, package_sources)
+        self._built.put(key, True, LOAD_MEMO_SIZE)
         return mp
 
     def acquire(
@@ -261,59 +234,15 @@ class WorkerPool:
         """``(worker, pool_key, was_warm)`` for one request.  The
         worker is exclusively the caller's; it is never returned."""
         key = self.key_for(options, package_names, package_sources)
-        with self._lock:
-            idle = self._idle.get(key)
-            if idle:
-                worker = idle.pop()
-                self._idle_gauge.set(len(idle), pool=key)
-                self._warm_hits.inc()
-                return worker, key, True
-        self._cold_builds.inc()
-        return (
-            self.build_worker(options, package_names, package_sources),
-            key,
-            False,
-        )
+        warm = self.has_built(key)
+        worker = self.build_worker(options, package_names, package_sources)
+        (self._warm_hits if warm else self._cold_builds).inc()
+        return worker, key, warm
 
-    def replenish(
-        self,
-        options: Ms2Options,
-        package_names: Sequence[str],
-        package_sources: Sequence[tuple[str, str]],
-    ) -> bool:
-        """Build one spare for this key unless it is already at
-        capacity; True when a spare was added."""
-        key = self.key_for(options, package_names, package_sources)
-        with self._lock:
-            if len(self._idle.get(key, ())) >= self.spares:
-                return False
-        start = perf_counter()
-        worker = self.build_worker(
-            options, package_names, package_sources
-        )
-        built_ms = (perf_counter() - start) * 1000.0
-        with self._lock:
-            idle = self._idle.setdefault(key, [])
-            if len(idle) >= self.spares:
-                return False
-            idle.append(worker)
-            self._idle_gauge.set(len(idle), pool=key)
-        self._replenishes.inc()
-        self._replenish_ms.inc(built_ms)
-        return True
-
-    def note_prewarm(self) -> None:
-        self._prewarms.inc()
-
-    def note_replenish_failure(self) -> None:
-        self._replenish_failures.inc()
-
-    def has_idle(self, key: str) -> bool:
-        """Whether a pre-built warm worker is waiting for this pool
-        key right now (the load-shedding expensiveness signal: a
-        request with no warm worker pays an inline preamble build)."""
-        with self._lock:
-            return bool(self._idle.get(key))
+    def has_built(self, key: str) -> bool:
+        """Whether this pool has built a worker for this key, so its
+        package loads replay from the memo."""
+        return self._built.get(key) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +377,9 @@ def stats_view(
         "workers": {
             "warm_hits": count("ms2_worker_pool_warm_hits_total"),
             "cold_builds": count("ms2_worker_pool_cold_builds_total"),
-            "spares": count("ms2_worker_pool_spares"),
-            "idle": counts("ms2_worker_pool_idle", "pool"),
-            "replenishes": count("ms2_worker_pool_replenishes_total"),
-            "replenish_ms": round(
-                total("ms2_worker_pool_replenish_ms_total"), 3
-            ),
-            "prewarms": count("ms2_worker_pool_prewarms_total"),
-            "replenish_failures": count(
-                "ms2_worker_pool_replenish_failures_total"
-            ),
         },
         "resilience": {
             "worker_restarts": count("ms2_build_worker_restarts_total"),
-            "replenish_failures": count(
-                "ms2_worker_pool_replenish_failures_total"
-            ),
             "eventlog_errors": count("ms2_eventlog_errors_total"),
             "client_retries": count("ms2_client_retries_total"),
             "client_fallbacks": count("ms2_client_fallbacks_total"),
@@ -504,7 +420,7 @@ class Ms2Server:
         Default :class:`Ms2Options` for requests that carry none
         (requests with an ``options`` payload get exactly those).
     package_names / package_sources:
-        The standard preamble pre-loaded into every pool worker and
+        The standard preamble loaded into every worker and
         implied for every request that names no packages of its own.
     socket_path / host+port:
         Listen address — exactly one of Unix socket path or TCP port.
@@ -543,7 +459,6 @@ class Ms2Server:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        warm_spares: int = DEFAULT_WARM_SPARES,
         default_deadline_s: float | None = None,
         drain_s: float = DEFAULT_DRAIN_S,
         metrics_port: int | None = None,
@@ -552,7 +467,6 @@ class Ms2Server:
         reuse_port: bool = False,
         control_socket: Path | str | None = None,
         shard_index: int | None = None,
-        prewarm: bool = True,
     ) -> None:
         if (socket_path is None) == (port is None):
             raise ValueError(
@@ -589,8 +503,6 @@ class Ms2Server:
         )
         #: This process's index in a sharded fleet, or None.
         self.shard_index = shard_index
-        #: Build the default worker pool before accepting traffic.
-        self.prewarm = bool(prewarm)
 
         #: The daemon's own handle on its snapshot cache root — the
         #: store behind the ``cache_get``/``cache_put``/``cache_stats``
@@ -610,7 +522,7 @@ class Ms2Server:
         #: and the fleet view all read it (see :func:`stats_view`).
         self.registry = MetricsRegistry()
         self._m = self._register_families(self.registry)
-        self.pool = WorkerPool(spares=warm_spares, registry=self.registry)
+        self.pool = WorkerPool(registry=self.registry)
         self._started = perf_counter()
         #: High-water mark of ``_active`` (``ms2_peak_in_flight``).
         self._peak_active = 0
@@ -667,13 +579,11 @@ class Ms2Server:
             max_inflight=config.max_inflight,
             queue_limit=config.queue_limit,
             max_frame_bytes=config.max_frame_bytes,
-            warm_spares=config.warm_spares,
             default_deadline_s=config.default_deadline_s,
             drain_s=config.drain_s,
             metrics_port=config.metrics_port,
             metrics_host=config.metrics_host,
             event_log=config.event_log,
-            prewarm=config.prewarm,
         )
         kwargs.update(overrides)
         return cls(options, **kwargs)
@@ -884,7 +794,7 @@ class Ms2Server:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and pre-warm the default worker pool."""
+        """Bind the listeners and build the default worker once."""
         self._idle_event = asyncio.Event()
         self._stopped = asyncio.Event()
         if self.socket_path is not None:
@@ -925,21 +835,13 @@ class Ms2Server:
                 self, host=self.metrics_host, port=self.metrics_port
             )
             await self.sidecar.start()
-        # First requests should hit a warm worker: build the default
-        # pool before accepting traffic (unless prewarm is off — a
-        # shard fleet may prefer fast process startup).
-        if self.prewarm:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(self._executor, self._prewarm)
-
-    def _prewarm(self) -> None:
-        for _ in range(self.pool.spares):
-            if self.pool.replenish(
-                self._effective_options(None),
-                self.package_names,
-                self.package_sources,
-            ):
-                self.pool.note_prewarm()
+        # Fill the load memo, so default-key requests are warm from
+        # the first one, and fail fast on a bad preamble package.
+        await asyncio.get_running_loop().run_in_executor(
+            self._executor, self.pool.build_worker,
+            self._effective_options(None),
+            self.package_names, self.package_sources,
+        )
 
     @property
     def address(self) -> str:
@@ -1080,7 +982,6 @@ class Ms2Server:
             response = await self._dispatch(request)
             await self._send(writer, response)
             if request.get("op") == "shutdown" and response.get("ok"):
-                self.request_shutdown()
                 return
 
     async def _send(
@@ -1176,6 +1077,7 @@ class Ms2Server:
         if op == "telemetry":
             return _ok(rid, op, self.telemetry_payload())
         if op == "shutdown":
+            self.request_shutdown()
             return _ok(rid, op, {"draining": True})
         if op in _CACHE_OPS:
             loop = asyncio.get_running_loop()
@@ -1329,7 +1231,7 @@ class Ms2Server:
             the queue is more than half full, **or** the
             histogram-estimated wait for the queue ahead already
             exceeds the server's default deadline — requests that
-            would pay an inline cold worker build (or a full
+            would pay a cold worker build (or a full
             ``expand_file`` pipeline) are answered ``busy`` with
             ``shed: true`` so warm traffic keeps flowing;
         ``busy``
@@ -1353,8 +1255,8 @@ class Ms2Server:
 
     def _is_expensive(self, request: dict[str, Any]) -> bool:
         """Whether this request would do non-warm-path work: a full
-        ``expand_file`` build, or an expand with no pre-built warm
-        worker for its (options, preamble) pool key.  Malformed
+        ``expand_file`` build, or an expand whose (options, preamble)
+        pool key this daemon has never built.  Malformed
         requests classify cheap — the normal dispatch path owns their
         ``bad_request`` answer."""
         if request.get("op") == "expand_file":
@@ -1367,7 +1269,7 @@ class Ms2Server:
         if request.get("op") == "trace":
             options = options.replace(trace=True)
         key = self.pool.key_for(options, names, sources)
-        return not self.pool.has_idle(key)
+        return not self.pool.has_built(key)
 
     def estimated_wait_ms(self) -> float:
         """Histogram-estimated queueing delay for a newly admitted
@@ -1496,11 +1398,7 @@ class Ms2Server:
         except OSError as exc:
             # The inline worker build hit infrastructure trouble
             # (disk error, injected fault).  The request itself is
-            # fine — answer a typed, retryable frame, and let the
-            # off-path replenisher restock the pool.
-            self._schedule_replenish(
-                options, package_names, package_sources
-            )
+            # fine — answer a typed, retryable frame.
             return _err(
                 rid, op, "unavailable",
                 f"could not build an expansion worker: {exc}",
@@ -1518,10 +1416,6 @@ class Ms2Server:
                 rid, op, "expansion_error", exc.message,
                 diagnostic=Diagnostic.from_error(exc).to_json(),
                 warm=warm,
-            )
-        finally:
-            self._schedule_replenish(
-                options, package_names, package_sources
             )
         self._count_pipeline(worker.stats)
         payload = result.to_json()
@@ -1601,50 +1495,6 @@ class Ms2Server:
                 )
                 self._sessions[key] = session
             return session
-
-    #: Replenish attempts per scheduling (the first build plus
-    #: bounded off-path retries — a transient fault must not leave
-    #: the pool cold, and a persistent one must not loop forever).
-    REPLENISH_ATTEMPTS = 3
-
-    def _schedule_replenish(
-        self,
-        options: Ms2Options,
-        package_names: tuple[str, ...],
-        package_sources: tuple[tuple[str, str], ...],
-        attempts: int | None = None,
-    ) -> None:
-        """Rebuild a warm spare off the request path."""
-        try:
-            self._executor.submit(
-                self._replenish_task,
-                options, package_names, package_sources,
-                attempts if attempts is not None
-                else self.REPLENISH_ATTEMPTS,
-            )
-        except RuntimeError:
-            pass  # executor already shut down (drain)
-
-    def _replenish_task(
-        self,
-        options: Ms2Options,
-        package_names: tuple[str, ...],
-        package_sources: tuple[tuple[str, str], ...],
-        attempts: int,
-    ) -> None:
-        """One replenish try.  A worker build that raises is counted
-        and *rescheduled* (bounded), so a fault during replenishment
-        can never wedge the pool: either a later attempt restocks
-        it, or requests fall back to inline builds."""
-        try:
-            self.pool.replenish(options, package_names, package_sources)
-        except Exception:  # noqa: BLE001 — isolation boundary
-            self.pool.note_replenish_failure()
-            if attempts > 1:
-                self._schedule_replenish(
-                    options, package_names, package_sources,
-                    attempts - 1,
-                )
 
     # ------------------------------------------------------------------
     # Stats

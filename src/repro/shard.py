@@ -24,8 +24,8 @@
   supervisor as its source: ``/metrics`` and ``/statusz`` aggregate
   every shard via :func:`repro.telemetry.merge_snapshots`, and
   ``POST /v1/expand`` routes by ``options_hash`` so one
-  configuration's traffic lands on the shard keeping its warm
-  workers.
+  configuration's traffic lands on the shard whose package-load memo
+  already holds its preamble.
 
 Worker processes are plain ``subprocess`` children, not ``os.fork``:
 forking a process that already runs an asyncio loop (threads, epoll
@@ -79,8 +79,8 @@ def shard_for_options_hash(options_hash: str | None, shards: int) -> int:
     """The shard index a configuration's traffic should prefer.
 
     Stable hash-affinity: requests carrying the same ``options_hash``
-    always prefer the same shard, so that shard's warm pool keeps the
-    hot workers for that configuration instead of every shard paying
+    always prefer the same shard, so that shard's package-load memo
+    stays warm for that configuration instead of every shard paying
     its own cold build.
     """
     if shards <= 1:
@@ -258,10 +258,18 @@ class ShardSupervisor:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        """Reserve the port, spawn every shard, wait until each
-        answers ``ping``, start supervision and the gateway."""
+        """Reserve the port, start the gateway (``/healthz`` answers
+        503 until a shard is live), spawn every shard, wait until each
+        answers ``ping``, then start supervision."""
         self._stopped = asyncio.Event()
         self._reserve_port()
+        if self.config.metrics_port is not None:
+            self.gateway = HttpFront(
+                self,
+                host=self.config.metrics_host,
+                port=self.config.metrics_port,
+            )
+            await self.gateway.start()
         self._control_dir = Path(tempfile.mkdtemp(prefix="ms2-shards-"))
         for index in range(self.config.shards):
             state = _ShardState(
@@ -279,13 +287,6 @@ class ShardSupervisor:
                     self._supervise(state)
                 )
             )
-        if self.config.metrics_port is not None:
-            self.gateway = HttpFront(
-                self,
-                host=self.config.metrics_host,
-                port=self.config.metrics_port,
-            )
-            await self.gateway.start()
 
     def _reserve_port(self) -> None:
         """Resolve an ephemeral port request to one concrete number.

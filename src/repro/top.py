@@ -100,7 +100,6 @@ def render_dashboard(
     disk = curr.get("disk_cache") or {}
     server = curr.get("server") or {}
     telemetry = curr.get("telemetry") or {}
-    idle = sum((workers.get("idle") or {}).values())
     responses = curr.get("responses") or {}
 
     lines = [
@@ -136,9 +135,7 @@ def render_dashboard(
         ),
         (
             f"workers    warm {workers.get('warm_hits', 0)}   "
-            f"cold {workers.get('cold_builds', 0)}   "
-            f"idle {idle}   "
-            f"replenishes {workers.get('replenishes', 0)}"
+            f"cold {workers.get('cold_builds', 0)}"
         ),
         (
             f"disk       hits {disk.get('hits', 0)}   "
@@ -163,9 +160,7 @@ def render_dashboard(
     resilience = curr.get("resilience") or {}
     if any(resilience.values()):
         lines.append(
-            f"resilience restarts {resilience.get('worker_restarts', 0)}"
-            f"   replenish-fail "
-            f"{resilience.get('replenish_failures', 0)}   "
+            f"resilience restarts {resilience.get('worker_restarts', 0)}   "
             f"retries {resilience.get('client_retries', 0)}   "
             f"fallbacks {resilience.get('client_fallbacks', 0)}   "
             f"eventlog-err {resilience.get('eventlog_errors', 0)}"

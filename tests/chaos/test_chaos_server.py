@@ -39,10 +39,8 @@ ONE_SHOT_SPECS = [
 @pytest.fixture
 def chaos_server(server_factory, tmp_path):
     """A daemon with every fault-reachable subsystem switched on:
-    cold worker builds (warm_spares=0), a persistent cache, an event
-    log."""
+    a worker build per request, a persistent cache, an event log."""
     return server_factory(
-        warm_spares=0,
         cache_dir=tmp_path / "chaos-cache",
         event_log=tmp_path / "chaos-events.jsonl",
     )

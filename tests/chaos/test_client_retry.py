@@ -99,7 +99,7 @@ class TestEndToEndRetry:
     def test_unavailable_frame_carries_retry_after_hint(
         self, server_factory
     ):
-        handle = server_factory(warm_spares=0)
+        handle = server_factory()
         faults.arm("pool.build_worker:1:io_error", seed=5)
         with handle.client() as client:  # no retry: see the frame
             with pytest.raises(Ms2ServerError) as info:
@@ -109,7 +109,7 @@ class TestEndToEndRetry:
         assert isinstance(hint, int) and hint >= 1
 
     def test_unavailable_recovers_under_retry(self, server_factory):
-        handle = server_factory(warm_spares=0)
+        handle = server_factory()
         baseline = handle.client().__enter__().expand(
             PROGRAM, "prog.c"
         )
@@ -120,7 +120,7 @@ class TestEndToEndRetry:
         assert client.retries >= 1
 
     def test_no_policy_still_fails_fast(self, server_factory):
-        handle = server_factory(warm_spares=0)
+        handle = server_factory()
         faults.arm("pool.build_worker:1:io_error", seed=5)
         with handle.client() as client:
             with pytest.raises(Ms2ServerError):

@@ -87,15 +87,7 @@ STATS_SERIES = {
         'ms2_expansion_cache_lookups_total{result="miss"}',
     ("workers", "warm_hits"): "ms2_worker_pool_warm_hits_total",
     ("workers", "cold_builds"): "ms2_worker_pool_cold_builds_total",
-    ("workers", "spares"): "ms2_worker_pool_spares",
-    ("workers", "replenishes"): "ms2_worker_pool_replenishes_total",
-    ("workers", "replenish_ms"): "ms2_worker_pool_replenish_ms_total",
-    ("workers", "prewarms"): "ms2_worker_pool_prewarms_total",
-    ("workers", "replenish_failures"):
-        "ms2_worker_pool_replenish_failures_total",
     ("resilience", "worker_restarts"): "ms2_build_worker_restarts_total",
-    ("resilience", "replenish_failures"):
-        "ms2_worker_pool_replenish_failures_total",
     ("resilience", "eventlog_errors"): "ms2_eventlog_errors_total",
     ("resilience", "client_retries"): "ms2_client_retries_total",
     ("resilience", "client_fallbacks"): "ms2_client_fallbacks_total",
@@ -107,7 +99,6 @@ STATS_FAMILIES = {
     ("requests",): ("ms2_requests_total", "op"),
     ("responses",): ("ms2_responses_total", "status"),
     ("error_codes",): ("ms2_response_errors_total", "code"),
-    ("workers", "idle"): ("ms2_worker_pool_idle", "pool"),
     ("faults", "injected"): ("ms2_faults_injected_total", "site"),
 }
 
@@ -292,7 +283,6 @@ def test_resilience_series_present_and_zero_at_rest(telemetry_server):
         "ms2_client_retries_total",
         "ms2_client_fallbacks_total",
         "ms2_build_worker_restarts_total",
-        "ms2_worker_pool_replenish_failures_total",
     ):
         assert samples.get(name, None) is not None, name
 

@@ -153,6 +153,23 @@ def test_shutdown_op_stops_the_server(server):
     assert not server.socket_path.exists(), "socket file cleaned up"
 
 
+@pytest.mark.parametrize("transport", ["ndjson", "http"])
+def test_shutdown_op_drains_over_every_transport(server_factory, transport):
+    """A ``shutdown`` frame drains the daemon whichever front carries
+    it: the reply says draining, then ``serve_until_stopped``
+    returns."""
+    handle = server_factory(metrics_port=0)
+    address = (
+        f"http://{handle.server.sidecar.address}"
+        if transport == "http"
+        else handle.socket_path
+    )
+    with Ms2Client(address) as client:
+        assert client.shutdown()["draining"] is True
+    handle._thread.join(5)
+    assert not handle._thread.is_alive(), "server did not stop"
+
+
 def test_raw_frame_ids_echo_back(server):
     with server.client() as client:
         response = client.request(

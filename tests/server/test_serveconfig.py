@@ -94,7 +94,6 @@ def test_json_roundtrip_exact() -> None:
         event_log="/tmp/events.jsonl",
         fault_specs=("pool.build_worker:1.0:exception",),
         fault_seed=42,
-        prewarm=False,
     )
     payload = config.to_json()
     assert payload["packages"] == ["loops", "exceptions"]
@@ -119,7 +118,7 @@ def test_from_json_none_is_defaults() -> None:
         {"shards": "two"},
         {"packages": "loops"},
         {"package_sources": [["only-one-part"]]},
-        {"prewarm": 1},
+        {"queue_limit": True},
         {"drain_s": "fast"},
         {"socket": 7},
     ],
@@ -162,11 +161,10 @@ def test_cli_serve_defaults_match_serveconfig() -> None:
 
 def test_cli_shards_flag_flows_into_config() -> None:
     args = build_arg_parser().parse_args(
-        ["serve", "--port", "0", "--shards", "3", "--no-prewarm"]
+        ["serve", "--port", "0", "--shards", "3"]
     )
     config = serve_config_from_args(args)
     assert config.shards == 3
-    assert config.prewarm is False
     assert config.validate()
 
 

@@ -60,12 +60,16 @@ class FleetHandle:
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
-    def start(self) -> "FleetHandle":
+    def start(self, wait: bool = True) -> "FleetHandle":
         self._thread.start()
+        if wait:
+            self.wait_ready()
+        return self
+
+    def wait_ready(self) -> None:
         assert self._ready.wait(120), "fleet failed to start"
         if self.error is not None:
             raise self.error
-        return self
 
     def _run(self) -> None:
         async def main() -> None:
@@ -114,13 +118,12 @@ def fleet_factory():
     every fleet is drained at teardown."""
     handles: list[FleetHandle] = []
 
-    def factory(options=None, **changes) -> FleetHandle:
+    def factory(options=None, wait=True, **changes) -> FleetHandle:
         changes.setdefault("port", 0)
         changes.setdefault("shards", 2)
-        changes.setdefault("warm_spares", 1)
         handle = FleetHandle(ServeConfig(**changes), options=options)
         handles.append(handle)
-        return handle.start()
+        return handle.start(wait)
 
     yield factory
     for handle in handles:
@@ -183,7 +186,25 @@ def test_gateway_vs_ndjson_equivalence(fleet_factory) -> None:
 def test_gateway_http_statuses(fleet_factory) -> None:
     """Ordinary HTTP tooling sees meaningful statuses: 200 for ok
     frames, 400 for garbage, 404/405 on wrong routes."""
-    fleet = fleet_factory(metrics_port=0)
+    fleet = fleet_factory(metrics_port=0, wait=False)
+    # The front listens before the shards answer ping: /healthz says
+    # 503 (no live shard) or 200 while start() runs, never refused.
+    deadline = time.monotonic() + 60
+    while not (
+        fleet.supervisor is not None
+        and fleet.supervisor.gateway is not None
+        and fleet.supervisor.gateway.bound_port
+    ):
+        assert fleet.error is None and time.monotonic() < deadline
+        time.sleep(0.005)
+    assert not fleet._ready.is_set(), "front bound only after start()"
+    try:
+        with urllib.request.urlopen(f"{fleet.gateway_url}/healthz") as r:
+            status = r.status
+    except urllib.error.HTTPError as err:
+        status = err.code
+    assert status in (200, 503)
+    fleet.wait_ready()
     url = fleet.gateway_url
 
     # Frames the fleet answers itself follow the daemon's contract:
@@ -248,7 +269,7 @@ def test_shard_sigkill_mid_load_zero_client_failures(
     supervisor restarts it, retries absorb the blip, zero failures
     surface, and the restart is visible in the supervisor's
     counters."""
-    fleet = fleet_factory(prewarm=False)
+    fleet = fleet_factory()
     supervisor = fleet.supervisor
     assert supervisor is not None
     stop = threading.Event()
@@ -289,7 +310,6 @@ def test_injected_kill_fault_restarts_and_recovers(
     ServeConfig) takes shards down mid-response; the fleet recovers
     and retrying clients never see a failure."""
     fleet = fleet_factory(
-        prewarm=False,
         fault_specs=("server.frame_write@expand:1.0:kill:6:1",),
         fault_seed=7,
     )
@@ -406,7 +426,7 @@ def _shard_reply(index: int, latencies, peak: int, active: int,
     from repro.stats import PipelineStats
 
     server = Ms2Server(
-        port=0, warm_spares=2, shard_index=index, event_log=io.StringIO()
+        port=0, shard_index=index, event_log=io.StringIO()
     )
     try:
         for op, n in requests.items():
@@ -435,8 +455,8 @@ def _shard_reply(index: int, latencies, peak: int, active: int,
 def test_fleet_stats_view_sums_and_merges() -> None:
     """The fleet view is the single-daemon view over merged
     snapshots: counters sum, buckets merge, the latency mean comes
-    from the merged sum and count, peaks and configured sizes take
-    the maximum (not the sum), and per-shard rows keep shard order."""
+    from the merged sum and count, peaks take the maximum (not the
+    sum), and per-shard rows keep shard order."""
     shard0 = _shard_reply(
         0, latencies=[3.0, 5.0], peak=3, active=1,
         requests={"expand": 3, "ping": 1}, busy=1, hits=2, misses=2,
@@ -455,7 +475,6 @@ def test_fleet_stats_view_sums_and_merges() -> None:
     assert merged["in_flight"] == 1
     assert merged["server"]["in_flight"] == 1
     assert merged["peak_in_flight"] == 3  # the fleet peak, not 3 + 2
-    assert merged["workers"]["spares"] == 2  # per-shard size, not 4
     latency = merged["latency_ms"]
     assert latency["count"] == 6
     # The merged sum over the merged count, not a mean of means.
@@ -498,7 +517,14 @@ def test_load_tiers_on_an_unstarted_server(tmp_path) -> None:
     server._active = 0
     assert server.load_tier() == "accept"
     # expand_file is always expensive; expand is expensive only when
-    # no warm worker is idle for its pool key.
+    # this daemon has never built a worker for its pool key.
     assert server._is_expensive({"op": "expand_file", "path": "x.c"})
     assert server._is_expensive({"op": "expand", "source": ""}) is True
+    server.pool.acquire(
+        server._effective_options(None),
+        server.package_names,
+        server.package_sources,
+    )
+    assert server._is_expensive({"op": "expand", "source": ""}) is False
+    assert server._is_expensive({"op": "expand_file", "path": "x.c"})
     server._executor.shutdown(wait=False)

@@ -45,8 +45,6 @@ PAYLOAD = {
     "workers": {
         "warm_hits": 35,
         "cold_builds": 7,
-        "idle": {"k1": 2, "k2": 1},
-        "replenishes": 9,
     },
     "disk_cache": {"hits": 4, "misses": 2, "failures": 1,
                    "evictions": 1},
@@ -70,7 +68,7 @@ def test_render_dashboard_first_poll():
     assert "served 42" in text
     assert "in-flight 1/4" in text
     assert "hit  75.0%" in text
-    assert "idle 3" in text
+    assert "warm 35   cold 7" in text
     assert "evictions 1" in text
     assert "http://127.0.0.1:9464/metrics" in text
     assert "DRAINING" not in text
