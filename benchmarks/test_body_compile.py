@@ -10,8 +10,8 @@ Workloads come in two flavours:
 
 * the three repeated-invocation workloads shared with
   ``test_expansion_throughput`` (template/splice-heavy — the compiler
-  helps, but clone-on-splice and the recursive expansion pass bound
-  the win), and
+  helps, but the expander's pass over each result bounds the win),
+  and
 * two compute-heavy macros (``ct-table``/``ct-fold``) in the paper's
   compile-time-computation tradition (section 4's table generation),
   where the meta-program itself is the cost and compilation pays off

@@ -48,25 +48,17 @@ class Node:
 
 #: Per-class caches for dataclass field introspection.  ``fields()``
 #: re-derives its result on every call, and the generic traversals
-#: below (``children``/``walk``/``rebuild``/``clone``) sit on the
-#: pipeline's hottest paths — template instantiation, hygiene marking,
-#: provenance restamping — so the metadata is computed once per node
-#: class instead.
-_NODE_FIELDS: dict[type, tuple[dataclasses.Field, ...]] = {}
+#: below (``walk`` and the expander's one pass over each expansion)
+#: sit on the pipeline's hottest paths, so the metadata is computed
+#: once per node class instead.
 _INIT_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def node_fields(obj: Node) -> tuple[dataclasses.Field, ...]:
     """The substantive (comparable, init) fields of a node."""
-    cls = obj.__class__
-    cached = _NODE_FIELDS.get(cls)
-    if cached is None:
-        cached = _NODE_FIELDS[cls] = tuple(
-            f
-            for f in dataclasses.fields(obj)
-            if f.compare and f.init and f.name not in ("loc", "mark")
-        )
-    return cached
+    names = child_fields(obj.__class__)
+    return tuple(f for f in dataclasses.fields(obj) if f.name in names)
 
 
 def _init_field_names(obj: Node) -> tuple[str, ...]:
@@ -80,10 +72,32 @@ def _init_field_names(obj: Node) -> tuple[str, ...]:
     return cached
 
 
+def child_fields(cls: type) -> tuple[str, ...]:
+    """Names of the substantive (comparable, init) fields of node class
+    ``cls``: the fields that can hold child nodes."""
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name
+            for f in dataclasses.fields(cls)
+            if f.compare and f.init and f.name not in ("loc", "mark")
+        )
+    return names
+
+
+def copy_node(obj: Node) -> Node:
+    """A shallow copy: a new node sharing every field value."""
+    cls = obj.__class__
+    new = cls.__new__(cls)
+    for name in _init_field_names(obj):
+        setattr(new, name, getattr(obj, name))
+    return new
+
+
 def children(obj: Node) -> Iterator[Node]:
     """Yield every direct child node of ``obj`` (flattening lists)."""
-    for f in node_fields(obj):
-        value = getattr(obj, f.name)
+    for name in child_fields(obj.__class__):
+        value = getattr(obj, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, list):
@@ -93,10 +107,13 @@ def children(obj: Node) -> Iterator[Node]:
 
 
 def walk(obj: Node) -> Iterator[Node]:
-    """Pre-order traversal of the subtree rooted at ``obj``."""
-    yield obj
-    for child in children(obj):
-        yield from walk(child)
+    """Pre-order traversal of the subtree rooted at ``obj``, on an
+    explicit stack (one generator frame, whatever the depth)."""
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(list(children(node))))
 
 
 def rebuild(obj: Node, mapper: Callable[[Any], Any]) -> Node:
@@ -104,9 +121,7 @@ def rebuild(obj: Node, mapper: Callable[[Any], Any]) -> Node:
 
     ``mapper`` receives each field value (node, list element, or plain
     datum) and returns its replacement.  List-valued fields allow the
-    mapper to return a list for an element, which is spliced in place —
-    this is how placeholder list-splicing works during template
-    instantiation.
+    mapper to return a list for an element, which is spliced in place.
     """
     kwargs: dict[str, Any] = {}
     for name in _init_field_names(obj):
@@ -145,8 +160,7 @@ def clone(obj: Node) -> Node:
 
     Unlike :func:`copy.deepcopy`, non-node field values (strings, macro
     definition references, AST types) are shared by reference — only
-    the tree structure is duplicated, which is exactly what template
-    instantiation needs to avoid aliasing.
+    the tree structure is duplicated.
     """
     return rebuild(obj, lambda child: clone(child))
 

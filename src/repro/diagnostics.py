@@ -265,17 +265,12 @@ class ExpansionBudget:
         self.output_nodes_used += output_nodes
         return True
 
-    def charge_output(self, result, loc: SourceLocation | None = None) -> None:
-        """Account for the AST produced by one expansion."""
+    def charge_output(
+        self, produced: int, loc: SourceLocation | None = None
+    ) -> None:
+        """Account for the ``produced`` AST nodes of one expansion."""
         if self.max_output_nodes is None:
             return
-        from repro.cast.base import Node, walk
-
-        produced = 0
-        items = result if isinstance(result, list) else [result]
-        for item in items:
-            if isinstance(item, Node):
-                produced += sum(1 for _ in walk(item))
         self.output_nodes_used += produced
         if self.output_nodes_used > self.max_output_nodes:
             self._trip(

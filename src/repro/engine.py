@@ -113,11 +113,12 @@ class MacroProcessor:
         self.table = MacroTable()
         self.interpreter = Interpreter()
         self.interpreter.stats = self.stats
-        # Hygienic renaming is a whole-program analysis whose
-        # decisions depend on the code *surrounding* each invocation,
-        # so its results cannot be replayed at other sites: the
-        # expansion cache is forced off.
-        use_cache = options.cache and not options.hygienic
+        # The expansion cache is off where a replay would differ from
+        # a fresh expansion: hygienic renames depend on the code around
+        # each invocation, and ``annotate`` prints the one flat location
+        # a replay stamps on every node.
+        replay_differs = options.hygienic or options.annotate
+        use_cache = options.cache and not replay_differs
         self.cache = ExpansionCache(self.stats) if use_cache else None
         #: Optional resource budget shared by every expansion run,
         #: built from the options' budget fields.

@@ -9,15 +9,15 @@ argument ASTs produce the same replacement AST every time.
     (macro name, definition generation, structural key of the actuals)
 
 to the fully-expanded result of a previous invocation.  A hit is
-*replayed*: a fresh deep copy of the stored tree whose source
-locations all point at the new invocation site and whose hygiene
-marks are consistently replaced by fresh ones, so the copy is
-indistinguishable from a re-expansion to every downstream consumer
-(hygiene renaming, capture detection, unparser).
+*replayed*: a fresh copy of the stored tree whose hygiene marks are
+consistently replaced by fresh ones and whose every node carries one
+location, the new invocation site's.  The output bytes, diagnostics
+and capture detection match a re-expansion; the nested backtraces a
+fresh expansion records do not, so annotated runs and hygienic ones
+(whose renames depend on the surroundings) keep the cache off.
 
 Replay is the hot path, so entries are stored *pickled*: the byte
-blob is an immutable snapshot (later in-place passes on the spliced
-original cannot corrupt it) and ``pickle.loads`` rebuilds the whole
+blob is an immutable snapshot and ``pickle.loads`` rebuilds the whole
 tree in C, an order of magnitude faster than a field-by-field Python
 copy.  The replay-variant parts of a tree are externalized through
 pickle's persistent-ID machinery: every
@@ -197,6 +197,8 @@ class ReplayCost(NamedTuple):
     output_nodes: int = 0
     #: Expansion frames it stacked: 1 plus its deepest nesting.
     height: int = 1
+    #: AST nodes in the result itself.
+    size: int = 0
 
 
 class ExpansionCache:

@@ -566,9 +566,8 @@ def _sc(result: Any, tname: str, fname: str, loc: Any, mark: Any) -> Any:
 
 def _fillx(ph: Node, value: Any) -> Any:
     """``PlaceholderExpr`` fill fast path: meta ints/floats/strings
-    become fresh literal nodes directly — ``fill_placeholder`` would
-    construct the identical node and then deep-copy it.  Node and list
-    values (and the NULL error) take the shared path unchanged."""
+    become fresh literal nodes directly.  Node and list values (and the
+    NULL error) take the shared path unchanged."""
     cls = value.__class__
     if cls is int:
         return nodes.IntLit(value)

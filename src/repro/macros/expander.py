@@ -1,10 +1,11 @@
 """The macro expansion engine.
 
 Expanding an invocation = running its macro's body (a C meta-program)
-on the parsed actual parameters, then recursively expanding any macro
-invocations embedded in the produced AST (templates may invoke
-previously defined macros — the paper's improved ``Painting`` macro
-expands into an ``unwind_protect`` invocation).
+on the parsed actual parameters, then one pass (:func:`rewrite`) over
+the produced AST that stamps provenance, expands the macro invocations
+embedded in it (templates may invoke previously defined macros — the
+paper's improved ``Painting`` macro expands into an ``unwind_protect``
+invocation) and counts its nodes.
 
 Each expansion gets a fresh integer *mark*; template-origin nodes are
 stamped with it so the optional hygienic renamer
@@ -16,21 +17,20 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.asttypes.types import ListType
-from repro.cast import decls, nodes, stmts
-from repro.cast.base import Node, _init_field_names
+from repro.cast import nodes, stmts
+from repro.cast.base import _CHILD_FIELDS, Node, child_fields, copy_node
 from repro.diagnostics import ExpansionBudget
-from repro.errors import ExpansionError, Ms2Error
+from repro.errors import ExpansionError, Ms2Error, SourceLocation
 from repro.macros.cache import ExpansionCache, ReplayCost
 from repro.macros.definition import MacroDefinition, MacroTable
 from repro.meta.frames import NULL
 from repro.meta.interp import Interpreter
 from repro.provenance import (
+    ExpandedLocation,
     ExpansionSite,
     expansion_chain,
     provenance_of,
     replay_location,
-    restamp_tree,
 )
 
 #: Guard against macros that expand into themselves forever.
@@ -43,11 +43,11 @@ class Expander:
     When ``cache`` is supplied, invocations of macros certified pure
     by :func:`repro.analysis.analyze_macro_purity` are memoized: from
     the third invocation with structurally equal actuals on, the stored
-    result replays (deep-copied, fresh locations and marks) instead of
-    re-running the meta-program.  A replay charges the budget and the
-    depth limit with what the fresh expansion did; when that would
-    overrun one, the invocation is re-expanded so the error is the
-    one an uncached run raises.
+    result replays (a fresh copy with the replay site's location and
+    fresh marks) instead of re-running the meta-program.  A replay
+    charges the budget and the depth limit with what the fresh
+    expansion did; when that would overrun one, the invocation is
+    re-expanded so the error is the one an uncached run raises.
     """
 
     def __init__(
@@ -80,6 +80,8 @@ class Expander:
         self._peak = 0
         #: Statistics: how many invocations were expanded.
         self.expansion_count = 0
+        #: AST nodes in the result ``expand_invocation`` last returned.
+        self.result_size = 0
 
     # ------------------------------------------------------------------
 
@@ -119,7 +121,7 @@ class Expander:
                 tracer.fail(span, exc)
             raise self._with_provenance(exc, chain) from None
         if span is not None:
-            tracer.end(span, result, cache_status)
+            tracer.end(span, self.result_size, cache_status)
         return result
 
     def _expand_uncached_or_replay(
@@ -144,9 +146,7 @@ class Expander:
             else:
                 cached = self.cache.lookup(key)
                 if cached is not None:
-                    # Replayed nodes are re-stamped with the *replay*
-                    # site's backtrace, so a hit at a second call site
-                    # reports the second site, not the first.  A
+                    # Stamped with the *replay* site's backtrace; a
                     # corrupt or stale snapshot replays as None and
                     # falls through to re-expansion.
                     replayed = self.cache.replay(
@@ -155,9 +155,9 @@ class Expander:
                         replay_location(invocation.loc, chain),
                         self._fresh_mark,
                     )
-                    if replayed is not None and self._charge_replay(
-                        self.cache.cost(key)
-                    ):
+                    cost = self.cache.cost(key)
+                    if replayed is not None and self._charge_replay(cost):
+                        self.result_size = cost.size
                         self.expansion_count += 1
                         if self.stats is not None:
                             self.stats.cache_hits += 1
@@ -167,10 +167,8 @@ class Expander:
                 if self.stats is not None:
                     self.stats.cache_misses += 1
 
-        # Check *before* incrementing: the raising frame must not
-        # count itself, so that every frame that did increment also
-        # runs the matching ``finally`` decrement and the counter
-        # returns to its pre-error value once the error is caught.
+        # Check *before* incrementing, so every frame that increments
+        # also runs the matching ``finally`` decrement.
         if self._depth >= MAX_EXPANSION_DEPTH:
             raise ExpansionError(
                 f"macro expansion exceeded depth {MAX_EXPANSION_DEPTH} "
@@ -194,13 +192,9 @@ class Expander:
                 from repro.macros.codegen import get_compiled_body
 
                 compiled = get_compiled_body(definition, self.stats)
-                if (
-                    compiled is not None
-                    and compiled.params != bindings.keys()
-                ):
-                    # Defensive: an invocation whose argument set does
-                    # not match the pattern parameters (shouldn't
-                    # happen) takes the interpreter path.
+                # Defensive: an argument set that does not match the
+                # pattern parameters takes the interpreter path.
+                if compiled is not None and compiled.params != bindings.keys():
                     compiled = None
 
             saved_mark = self.interpreter.current_mark
@@ -216,11 +210,9 @@ class Expander:
                 self.interpreter.current_mark = saved_mark
 
             result = self._check_result(definition, result, invocation)
-            # Stamp provenance on macro-origin nodes *before* the
-            # recursive pass, so nested invocations inherit this
-            # chain and extend it with their own frame.
-            restamp_tree(result, chain, mark)
-            result = self.expand_tree(result)
+            # Hygiene renames after every nested expansion, so its
+            # gensyms follow theirs.
+            result, size = rewrite(result, chain, mark, self)
             if self.hygienic:
                 from repro.macros.hygiene import make_hygienic
 
@@ -231,15 +223,17 @@ class Expander:
             if self.stats is not None:
                 self.stats.expansions += 1
             if budget is not None:
-                budget.charge_output(result, invocation.loc)
+                budget.charge_output(size, invocation.loc)
             if key is not None:
                 expansions, output_nodes = self._budget_used()
                 cost = ReplayCost(
                     expansions - used[0],
                     output_nodes - used[1],
                     self._peak - depth + 1,
+                    size,
                 )
                 self.cache.store(key, result, cost)
+            self.result_size = size
             return result, cache_status
         finally:
             self._depth -= 1
@@ -283,100 +277,152 @@ class Expander:
         except TypeError:
             return exc
 
+    @staticmethod
     def _check_result(
-        self,
         definition: MacroDefinition,
         result: Any,
         invocation: nodes.MacroInvocation,
     ) -> Node | list[Node]:
-        if definition.returns_list:
-            if not isinstance(result, list):
-                raise ExpansionError(
-                    f"macro {definition.name!r} is declared to return "
-                    f"{definition.ret_spec}[] but returned a single AST",
-                    invocation.loc,
-                )
+        name, spec = definition.name, definition.ret_spec
+        if definition.returns_list and not isinstance(result, list):
+            message = (
+                f"is declared to return {spec}[] but returned a single AST"
+            )
+        elif not definition.returns_list and isinstance(result, list):
+            message = (
+                f"is declared to return a single {spec} but returned a list"
+            )
+        elif not isinstance(result, (list, Node)):
+            message = f"returned a {type(result).__name__}, not an AST"
+        else:
             return result
-        if isinstance(result, list):
-            raise ExpansionError(
-                f"macro {definition.name!r} is declared to return a "
-                f"single {definition.ret_spec} but returned a list",
-                invocation.loc,
-            )
-        if not isinstance(result, Node):
-            raise ExpansionError(
-                f"macro {definition.name!r} returned a "
-                f"{type(result).__name__}, not an AST",
-                invocation.loc,
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    # Recursive expansion of invocations embedded in produced ASTs
-    # ------------------------------------------------------------------
+        raise ExpansionError(f"macro {name!r} {message}", invocation.loc)
 
     def expand_tree(self, tree: Node | list) -> Any:
-        """Expand every :class:`MacroInvocation` in ``tree`` (in place
-        order, outside-in via re-expansion of produced code)."""
-        if isinstance(tree, list):
-            out: list[Any] = []
-            for item in tree:
-                result = self.expand_tree(item)
-                if isinstance(result, list):
-                    out.extend(result)
-                else:
-                    out.append(result)
-            return out
-        if isinstance(tree, nodes.MacroInvocation):
-            return self.expand_invocation(tree)
-        if not isinstance(tree, Node):
-            return tree
-        return self._expand_children(tree)
+        """Expand every :class:`MacroInvocation` in ``tree``; results
+        of the expansions are final, not walked again."""
+        return rewrite(tree, expander=self)[0]
 
-    def _expand_children(self, node: Node) -> Node:
-        kwargs: dict[str, Any] = {}
-        changed = False
-        for name in _init_field_names(node):
+
+def restamp_tree(
+    result: Any, chain: tuple[ExpansionSite, ...], mark: int | None
+) -> Any:
+    """``result`` with ``chain`` stamped on its macro-origin nodes: the
+    nodes carrying ``mark`` (template-built) or a synthetic location
+    (built by meta builtins such as ``gensym``).  Nodes spliced from
+    the actuals keep their user locations; nodes with an
+    :class:`ExpandedLocation` (inner results) keep their longer chain."""
+    return rewrite(result, chain, mark)[0]
+
+
+def rewrite(
+    tree: Any,
+    chain: tuple[ExpansionSite, ...] | None = None,
+    mark: int | None = None,
+    expander: Expander | None = None,
+    renamer: Any = None,
+) -> tuple[Any, int]:
+    """One copy-on-write pass over ``tree``, in pre-order by per-class
+    field plans: the new tree and its node count.  With ``chain`` it
+    stamps as :func:`restamp_tree`; with ``expander`` it stamps each
+    invocation's subtree, then expands it (the result is final, counted
+    as ``expander.result_size``); ``renamer`` (hygiene) may replace each
+    node carrying its mark on entry.  A node is rebuilt only when a
+    child changed, and never mutated but for the ``loc`` of nodes
+    carrying ``mark``, which only this expansion built.  (One call per
+    tree level measured twice as fast as an explicit stack on 3.11.)
+    """
+    plans = _CHILD_FIELDS
+    invocation_cls = nodes.MacroInvocation if expander is not None else None
+    # Without a renamer, a mark no node carries.
+    rename_mark = renamer.mark if renamer is not None else object()
+    memo: dict[SourceLocation, ExpandedLocation] = {}
+    size = 0
+
+    def visit(node: Node) -> Node | list[Node]:
+        nonlocal size
+        if node.__class__ is invocation_cls:
+            if chain is not None:
+                # Stamped first, so its own chain extends this one.
+                node = restamp_tree(node, chain, mark)
+            result = expander.expand_invocation(node)
+            size += expander.result_size
+            return result
+        size += 1
+        copied = scoped = False
+        if chain is not None:
+            loc = node.loc
+            if loc.__class__ is not ExpandedLocation and (
+                node.mark == mark or loc.filename == "<synthetic>"
+            ):
+                stamped = memo.get(loc)
+                if stamped is None:
+                    stamped = memo[loc] = ExpandedLocation(
+                        loc.line, loc.column, loc.offset, loc.filename, chain
+                    )
+                if node.mark != mark:
+                    node = copy_node(node)
+                    copied = True
+                node.loc = stamped
+        if node.mark == rename_mark:
+            node, copied, scoped = renamer.enter(node, copied)
+        cls = node.__class__
+        names = plans.get(cls)
+        if names is None:
+            names = child_fields(cls)
+        new = node if copied else None
+        for name in names:
             value = getattr(node, name)
             if isinstance(value, Node):
-                result = self.expand_tree(value)
-                if isinstance(result, list):
-                    result = self._wrap_list(node, name, result)
+                result = visit(value)
                 if result is not value:
-                    changed = True
-                kwargs[name] = result
+                    if isinstance(result, list):
+                        result = _wrap_list(node, name, result)
+                    if new is None:
+                        new = copy_node(node)
+                    setattr(new, name, result)
             elif isinstance(value, list):
-                out: list[Any] = []
-                for item in value:
+                items = None
+                for index, item in enumerate(value):
                     if isinstance(item, Node):
-                        result = self.expand_tree(item)
-                        if isinstance(result, list):
-                            out.extend(result)
-                            changed = True
-                        else:
-                            if result is not item:
-                                changed = True
-                            out.append(result)
-                    else:
-                        out.append(item)
-                kwargs[name] = out
-            else:
-                kwargs[name] = value
-        if not changed:
-            return node
-        return type(node)(**kwargs)
+                        result = visit(item)
+                        if result is not item:
+                            if items is None:
+                                items = value[:index]
+                            if isinstance(result, list):
+                                items.extend(result)
+                            else:
+                                items.append(result)
+                            continue
+                    if items is not None:
+                        items.append(item)
+                if items is not None:
+                    if new is None:
+                        new = copy_node(node)
+                    setattr(new, name, items)
+        if scoped:
+            renamer.leave()
+        return node if new is None else new
 
-    def _wrap_list(self, parent: Node, field: str, items: list[Any]) -> Node:
-        if all(_is_stmt(v) for v in items):
-            return stmts.CompoundStmt([], items, loc=parent.loc)
-        raise ExpansionError(
-            f"a list-returning macro cannot stand in the {field!r} "
-            f"position of {type(parent).__name__}",
-            parent.loc,
-        )
+    if not isinstance(tree, list):
+        return (visit(tree) if isinstance(tree, Node) else tree), size
+    out: list[Any] = []
+    for item in tree:
+        item = visit(item) if isinstance(item, Node) else item
+        if isinstance(item, list):
+            out.extend(item)
+        else:
+            out.append(item)
+    return out, size
 
 
-def _is_stmt(value: Any) -> bool:
+def _wrap_list(parent: Node, field: str, items: list[Any]) -> Node:
     from repro.macros.template import _STMT_CLASSES
 
-    return isinstance(value, _STMT_CLASSES)
+    if all(isinstance(v, _STMT_CLASSES) for v in items):
+        return stmts.CompoundStmt([], items, loc=parent.loc)
+    raise ExpansionError(
+        f"a list-returning macro cannot stand in the {field!r} "
+        f"position of {type(parent).__name__}",
+        parent.loc,
+    )

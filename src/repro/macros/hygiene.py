@@ -10,97 +10,102 @@ are automatically renamed to fresh identifiers, while user code
 substituted through placeholders (which carries a different mark, or
 none) is left untouched.
 
-This is the classic mark-based approximation of Kohlbecker-style
-hygiene, sufficient to make the paper's ``dynamic_bind`` and ``catch``
-examples capture-safe without explicit ``gensym`` calls.
+Renaming is a second run of the expander's copy-on-write pass
+(:func:`repro.macros.expander.rewrite`), after every nested expansion
+so its gensyms follow theirs; a rename copies the node and its path,
+so a value spliced twice is renamed apart.  This mark-based
+approximation of Kohlbecker-style hygiene makes the paper's
+``dynamic_bind`` and ``catch`` examples capture-safe.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from repro.cast import decls, nodes, stmts
-from repro.cast.base import Node, walk
+from repro.cast.base import Node
 from repro.meta.interp import Interpreter
+
+_WRAPPING_DECLARATORS = (
+    decls.PointerDeclarator, decls.ArrayDeclarator, decls.FuncDeclarator
+)
 
 
 def make_hygienic(
     tree: Node | list, mark: int, interpreter: Interpreter, stats: Any = None
 ) -> Any:
-    """Rename template-declared locals in ``tree`` to fresh names.
+    """``tree`` with the locals its templates declare renamed: binders
+    whose declaration carries ``mark`` (this expansion's templates), and
+    references that carry it too — a placeholder substitution with the
+    same spelling keeps its meaning.  ``stats`` counts each rename."""
+    from repro.macros.expander import rewrite
 
-    Only binders whose declaration node carries ``mark`` (i.e. was
-    created by this expansion's templates) are renamed, and only
-    references that also carry ``mark`` are redirected — a placeholder
-    substitution that happens to use the same spelling keeps its
-    meaning.  ``stats`` (a :class:`~repro.stats.PipelineStats`) counts
-    each distinct rename when supplied.
-    """
-    renamer = _Renamer(mark, interpreter, stats)
-    if isinstance(tree, list):
-        for item in tree:
-            renamer.process(item)
-    else:
-        renamer.process(tree)
-    return tree
+    return rewrite(tree, renamer=_Renamer(mark, interpreter, stats))[0]
 
 
 class _Renamer:
+    """The pass's hooks.  Entering a compound that carries the mark
+    renames its own declarations' binders (pre-order) and opens a scope
+    over its subtree; a marked reference takes the rename of the
+    outermost open scope that has its name."""
+
     def __init__(
         self, mark: int, interpreter: Interpreter, stats: Any = None
     ) -> None:
         self.mark = mark
         self.interpreter = interpreter
         self.stats = stats
+        #: Open scopes, innermost last, each merged with the ones
+        #: around it (outer renames win).
+        self.scopes: list[dict[str, str]] = []
 
-    def process(self, root: Node) -> None:
-        for node in walk(root):
-            if isinstance(node, stmts.CompoundStmt) and node.mark == self.mark:
-                self._process_compound(node)
+    def enter(self, node: Node, copied: bool) -> tuple[Node, bool, bool]:
+        """``(node, copied, opened a scope)`` for a marked node."""
+        if isinstance(node, nodes.Identifier) and self.scopes:
+            fresh = self.scopes[-1].get(node.name)
+            if fresh is not None:
+                return replace(node, name=fresh), True, False
+        elif isinstance(node, stmts.CompoundStmt):
+            renames: dict[str, str] = {}
+            new_decls = [self._bind(item, renames) for item in node.decls]
+            if renames:
+                renames.update(self.scopes[-1] if self.scopes else {})
+                self.scopes.append(renames)
+                return replace(node, decls=new_decls), True, True
+        return node, copied, False
 
-    def _process_compound(self, compound: stmts.CompoundStmt) -> None:
-        renames: dict[str, str] = {}
-        for declaration in compound.decls:
-            if not isinstance(declaration, decls.Declaration):
-                continue
-            if declaration.mark != self.mark:
-                continue
-            for name_decl in _binders(declaration):
-                old = name_decl.name
-                if old.startswith("__"):
-                    continue  # already a gensym
-                if old not in renames:
-                    fresh = self.interpreter.gensym(old).name
-                    renames[old] = fresh
-                    if self.stats is not None:
-                        self.stats.hygiene_renames += 1
-                name_decl.name = renames[old]
-        if not renames:
-            return
-        for node in walk(compound):
-            if (
-                isinstance(node, nodes.Identifier)
-                and node.mark == self.mark
-                and node.name in renames
-            ):
-                node.name = renames[node.name]
+    def leave(self) -> None:
+        self.scopes.pop()
 
+    def _bind(self, declaration: Node, renames: dict[str, str]) -> Node:
+        """``declaration`` with the binders it declares renamed."""
+        if not (
+            isinstance(declaration, decls.Declaration)
+            and declaration.mark == self.mark
+        ):
+            return declaration
+        items = [
+            replace(item, declarator=self._binder(item.declarator, renames))
+            if isinstance(item, decls.InitDeclarator)
+            else item
+            for item in declaration.init_declarators
+        ]
+        return replace(declaration, init_declarators=items)
 
-def _binders(declaration: decls.Declaration) -> list[decls.NameDeclarator]:
-    out: list[decls.NameDeclarator] = []
-    for item in declaration.init_declarators:
-        if isinstance(item, decls.InitDeclarator):
-            current: Node = item.declarator
-            while True:
-                if isinstance(current, decls.NameDeclarator):
-                    out.append(current)
-                    break
-                if isinstance(
-                    current,
-                    (decls.PointerDeclarator, decls.ArrayDeclarator,
-                     decls.FuncDeclarator),
-                ):
-                    current = current.inner
-                    continue
-                break
-    return out
+    def _binder(self, declarator: Node, renames: dict[str, str]) -> Node:
+        """``declarator`` with the name it binds renamed."""
+        if isinstance(declarator, _WRAPPING_DECLARATORS):
+            return replace(
+                declarator, inner=self._binder(declarator.inner, renames)
+            )
+        if not isinstance(declarator, decls.NameDeclarator):
+            return declarator
+        old = declarator.name
+        if old.startswith("__"):
+            return declarator  # already a gensym
+        if old not in renames:
+            renames[old] = self.interpreter.gensym(old).name
+            if self.stats is not None:
+                self.stats.hygiene_renames += 1
+        return replace(declarator, name=renames[old])

@@ -12,7 +12,9 @@ the paper's section 2 discusses simply never exist at the AST level).
 Nodes originating from the template spine are stamped with the current
 expansion's hygiene mark; values substituted for placeholders keep
 their own marks (user code stays unmarked), which is what the optional
-hygienic renamer keys on.
+hygienic renamer keys on.  Substituted values are shared, not copied:
+no later step mutates a node it did not build (see
+:func:`repro.macros.expander.rewrite`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import dataclasses
 from typing import Any, Callable
 
 from repro.cast import ctypes, decls, nodes, stmts
-from repro.cast.base import Node, clone
+from repro.cast.base import Node
 from repro.cast.printer import CPrinter
 from repro.errors import ExpansionError
 from repro.meta.frames import NULL, NullValue
@@ -59,25 +61,21 @@ def fill_placeholder(ph: Node, value: Any) -> Any:
         )
     if isinstance(ph, stmts.PlaceholderStmt):
         if isinstance(value, list):
-            return [_as_statement(clone(v), ph) for v in value]
-        return _as_statement(clone(value), ph)
-    if isinstance(ph, decls.PlaceholderDecl):
-        if isinstance(value, list):
-            return [clone(_expect_node(v, ph)) for v in value]
-        return clone(_expect_node(value, ph))
+            return [_as_statement(v, ph) for v in value]
+        return _as_statement(value, ph)
     if isinstance(ph, decls.PlaceholderDeclarator):
-        return _as_declarator(clone(_expect_node(value, ph)), ph)
+        return _as_declarator(_expect_node(value, ph), ph)
     if isinstance(ph, decls.PlaceholderInitDeclarator):
         if isinstance(value, list):
-            return [_as_init_declarator(clone(v), ph) for v in value]
-        return _as_init_declarator(clone(_expect_node(value, ph)), ph)
+            return [_as_init_declarator(v, ph) for v in value]
+        return _as_init_declarator(value, ph)
     if isinstance(ph, ctypes.PlaceholderTypeSpec):
-        return clone(_expect_node(value, ph))
-    # PlaceholderExpr: expression (or list of expressions, spliced
-    # into argument/enumerator/init-declarator lists by the caller).
+        return _expect_node(value, ph)
+    # Expression and declaration placeholders: a list splices into the
+    # enclosing list (arguments, enumerators, declarations).
     if isinstance(value, list):
-        return [clone(_expect_node(v, ph)) for v in value]
-    return clone(_expect_node(value, ph))
+        return [_expect_node(v, ph) for v in value]
+    return _expect_node(value, ph)
 
 
 def adapt_list_to_scalar(

@@ -14,16 +14,14 @@ backtrace*: the chain of :class:`ExpansionSite` invocation frames that
 produced the node, innermost first.  The last frame is always user
 source.
 
-The chain composes through locations, not through any global stack:
-when macro ``Outer``'s template contains an invocation of ``Inner``,
-the ``Inner`` invocation node is first re-stamped with ``Outer``'s
-chain, so when the expander reaches it, :func:`expansion_chain`
-prepends the ``Inner`` frame to the frames already riding on the
-invocation's location.  Cache replays participate for free — the
-replaying expander stamps the whole replayed tree with a fresh
-:class:`ExpandedLocation` built from the *replay* site, so a cached
-expansion reused at a second call site reports the second site in its
-backtrace (see :mod:`repro.macros.cache`).
+The expander stamps chains in its one pass over each fresh result
+(:func:`repro.macros.expander.rewrite`).  They compose through
+locations, not a global stack: an ``Inner`` invocation in ``Outer``'s
+template is stamped with ``Outer``'s chain before it expands, and
+:func:`expansion_chain` prepends the ``Inner`` frame to it.  A cache
+replay stamps one :class:`ExpandedLocation` from the *replay* site on
+every node, flattening nested chains, so annotated output keeps the
+cache off (see :mod:`repro.macros.cache`).
 
 ``repro.errors`` deliberately does not import this module; rendering
 in :meth:`~repro.errors.Ms2Error._format` duck-types on the
@@ -33,9 +31,7 @@ in :meth:`~repro.errors.Ms2Error._format` duck-types on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-from repro.cast.base import Node, walk
 from repro.errors import SourceLocation
 
 __all__ = [
@@ -45,7 +41,6 @@ __all__ = [
     "format_expansion_backtrace",
     "provenance_of",
     "replay_location",
-    "restamp_tree",
     "strip_expansion",
     "user_site",
 ]
@@ -128,50 +123,3 @@ def format_expansion_backtrace(
     """Render ``frames`` as the multi-line backtrace suffix used by
     :meth:`~repro.errors.Ms2Error._format`."""
     return "\n".join(f"{indent}{frame}" for frame in frames)
-
-
-# ---------------------------------------------------------------------------
-# Stamping freshly expanded trees
-# ---------------------------------------------------------------------------
-
-
-def restamp_tree(
-    result: Node | list[Any],
-    chain: tuple[ExpansionSite, ...],
-    mark: int | None,
-) -> None:
-    """Stamp ``chain`` onto every macro-origin node of a fresh
-    expansion result (in place).
-
-    A node is macro-origin when it carries this expansion's hygiene
-    ``mark`` (template-built) or a synthetic location (constructed by
-    meta builtins such as ``gensym``/``symbolconc``).  Nodes spliced in
-    from the actual parameters keep their user locations untouched, and
-    nodes that already carry an :class:`ExpandedLocation` (results of
-    inner expansions) keep their longer, more precise chain.
-    """
-    memo: dict[SourceLocation, ExpandedLocation] = {}
-    trees = result if isinstance(result, list) else [result]
-    for tree in trees:
-        if isinstance(tree, Node):
-            _restamp(tree, chain, mark, memo)
-
-
-def _restamp(
-    root: Node,
-    chain: tuple[ExpansionSite, ...],
-    mark: int | None,
-    memo: dict[SourceLocation, ExpandedLocation],
-) -> None:
-    for item in walk(root):
-        loc = item.loc
-        if type(loc) is ExpandedLocation:
-            continue
-        if item.mark != mark and loc.filename != "<synthetic>":
-            continue
-        stamped = memo.get(loc)
-        if stamped is None:
-            stamped = memo[loc] = ExpandedLocation(
-                loc.line, loc.column, loc.offset, loc.filename, chain
-            )
-        item.loc = stamped

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import IO, Any, Callable, Iterator
 
-from repro.cast.base import Node, walk
+from repro.cast.base import Node
 from repro.provenance import provenance_of, strip_expansion
 
 __all__ = ["ExpansionSpan", "Tracer", "TraceHook", "profile_table"]
@@ -206,13 +206,12 @@ class Tracer:
         self._emit("start", span)
         return span
 
-    def end(
-        self, span: ExpansionSpan, result: Any, cache: str
-    ) -> None:
-        """Close ``span`` successfully."""
+    def end(self, span: ExpansionSpan, output_nodes: int, cache: str) -> None:
+        """Close ``span`` successfully; its result has ``output_nodes``
+        AST nodes."""
         span.duration = perf_counter() - span.start
         span.cache = cache
-        span.output_nodes = _count_nodes(result)
+        span.output_nodes = output_nodes
         self._pop(span)
         self._emit("end", span)
         self._log(span)
@@ -301,13 +300,6 @@ def _arg_type_name(value: Any) -> str:
         return type(value).__name__
     return type(value).__name__
 
-
-def _count_nodes(result: Any) -> int:
-    if isinstance(result, Node):
-        return sum(1 for _ in walk(result))
-    if isinstance(result, list):
-        return sum(_count_nodes(item) for item in result)
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Tests for AST node base machinery: traversal, rebuild, clone, marks."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.cast import nodes, stmts
 from repro.cast.base import (
     children,
@@ -10,7 +14,17 @@ from repro.cast.base import (
     transform,
     walk,
 )
+from repro.engine import MacroProcessor
 from repro.errors import SourceLocation
+
+CORPUS = Path(__file__).resolve().parents[2] / "examples" / "corpus"
+
+
+def recursive_walk(node):
+    """The reference pre-order: one generator frame per tree level."""
+    yield node
+    for child in children(node):
+        yield from recursive_walk(child)
 
 
 def sample_tree() -> stmts.CompoundStmt:
@@ -71,6 +85,15 @@ class TestTraversal:
         order = [type(n).__name__ for n in walk(sample_tree())]
         assert order[0] == "CompoundStmt"
         assert order[1] == "ExprStmt"
+
+    @pytest.mark.parametrize(
+        "path", sorted(CORPUS.iterdir()), ids=lambda p: p.name
+    )
+    def test_walk_matches_recursive_preorder(self, path):
+        unit = MacroProcessor().expand_to_ast(path.read_text(), str(path))
+        expected = [id(n) for n in recursive_walk(unit)]
+        assert len(expected) > 10
+        assert [id(n) for n in walk(unit)] == expected
 
     def test_node_fields_excludes_loc_and_mark(self):
         names = [f.name for f in node_fields(nodes.Identifier("x"))]

@@ -7,11 +7,14 @@ macro host, and printing is a fixed point (print -> parse -> print).
 Under ``hygienic=True`` no user identifier is captured by a
 macro-introduced declaration.  The inputs are the benchmark's
 generated units and the example corpus; the checks are the
-benchmark's own output oracle.
+benchmark's own output oracle.  The capture check is shown to be live
+on ``examples/capture_lint.py``'s capturing macro, which captures
+without hygiene.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,8 @@ from repro.engine import MacroProcessor
 from repro.errors import Ms2Error
 from repro.packages import register_named
 
-CORPUS = Path(__file__).resolve().parents[2] / "examples" / "corpus"
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+CORPUS = EXAMPLES / "corpus"
 
 
 def _expands(path: Path) -> bool:
@@ -61,3 +65,47 @@ def test_expansion_is_plain_c(source, packages, hygienic):
 
 def test_the_corpus_takes_part():
     assert any(p.id.startswith("corpus-") for p in INPUTS)
+
+
+def _capture_lint():
+    spec = importlib.util.spec_from_file_location(
+        "example_capture_lint", EXAMPLES / "capture_lint.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LINT = _capture_lint()
+
+#: Three invocations in one function: with the cache on (hygiene off)
+#: the third is a replay-cache hit.
+SAVED_THRICE = """
+void f(int saved)
+{
+    save_level { saved = saved + level; }
+    save_level { saved = saved + level; }
+    save_level { saved = saved + level; }
+}
+"""
+
+
+@pytest.mark.parametrize("hygienic", [False, True], ids=["plain", "hygienic"])
+@pytest.mark.parametrize(
+    "source", [LINT.PROGRAM, SAVED_THRICE], ids=["once", "thrice"]
+)
+def test_capture_check_is_live(source, hygienic):
+    """The capturing macro captures the user's ``saved`` without
+    hygiene and captures nothing with it; the output is plain C either
+    way."""
+    options = Ms2Options(hygienic=hygienic)
+    mp = MacroProcessor(options=options)
+    mp.load(LINT.CAPTURING_MACRO)
+    assert plain_c_problem(mp.expand(source).output) is None
+    mp = MacroProcessor(options=options)
+    mp.load(LINT.CAPTURING_MACRO)
+    captures = detect_captures(mp.expand_to_ast(source))
+    if hygienic:
+        assert captures == []
+    else:
+        assert len(captures) >= 1

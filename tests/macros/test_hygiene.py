@@ -1,5 +1,7 @@
 """Tests for the hygienic-expansion extension (paper section 5)."""
 
+import pytest
+
 from repro import MacroProcessor, Ms2Options
 from repro.cast import decls, nodes
 from repro.cast.base import walk
@@ -104,3 +106,57 @@ class TestHygienicMode:
         binder = inner.decls[0].init_declarators[0].declarator.name
         use = inner.stmts[0].expr.args[0].name
         assert binder == use
+
+
+# A template value spliced into two compounds that each bind ``tmp``.
+SPLICED_TWICE = """
+syntax stmt twice {| $$exp::e |}
+{
+  @exp t = `(tmp + $e);
+  return(`{{ {int tmp = 1; f($t);} {int tmp = 2; g($t);} }});
+}
+"""
+
+# A binding compound a hygienic outer macro hands to an inner macro,
+# which splices it twice.
+PASSED_AND_DUPLICATED = """
+syntax stmt dup {| $$stmt::s |} { return(`{{ $s; $s; }}); }
+syntax stmt outer {| $$exp::e |}
+{ return(`{{ dup { int tmp = $e; f(tmp); } }}); }
+"""
+
+
+@pytest.mark.parametrize(
+    "compiled_bodies", [True, False], ids=["compiled", "interpreted"]
+)
+class TestSplicedValuesRenameApart:
+    """Each place a value is spliced is renamed on its own, as if every
+    splice were a separate copy."""
+
+    @staticmethod
+    def _expand(package: str, program: str, compiled_bodies: bool) -> str:
+        mp = MacroProcessor(
+            options=Ms2Options(hygienic=True, compiled_bodies=compiled_bodies)
+        )
+        mp.load(package)
+        return mp.expand(program).output
+
+    def test_value_spliced_into_two_binding_compounds(self, compiled_bodies):
+        out = self._expand(
+            SPLICED_TWICE, "void h(int x) { twice x; }", compiled_bodies
+        )
+        assert "int __tmp_1 = 1;" in out
+        assert "f(__tmp_1 + x);" in out
+        assert "int __tmp_2 = 2;" in out
+        assert "g(__tmp_2 + x);" in out
+
+    def test_binding_compound_duplicated_by_inner_macro(self, compiled_bodies):
+        out = self._expand(
+            PASSED_AND_DUPLICATED,
+            "void h(int x) { outer x; }",
+            compiled_bodies,
+        )
+        assert "int __tmp_1 = x;" in out
+        assert "f(__tmp_1);" in out
+        assert "int __tmp_2 = x;" in out
+        assert "f(__tmp_2);" in out

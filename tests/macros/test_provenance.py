@@ -8,7 +8,9 @@ inside macro-generated code point at user source — not ``<synthetic>``
 
 import pytest
 
+from perfbench import gen
 from repro import MacroProcessor, Ms2Options
+from repro.api import expand
 from repro.errors import Ms2Error
 from repro.provenance import (
     ExpandedLocation,
@@ -163,6 +165,28 @@ class TestAnnotatedOutput:
         out = mp.expand_to_c("void f(void) { int n; bump(); }")
         assert "/* <-" not in out
         assert "#line" not in out
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "void f(void) { Painting { g(1); } Painting { g(1); } "
+            "Painting { g(1); } }"
+        ]
+        + [unit.source for unit in gen.units("repeat", 1, 6)],
+        ids=["painting-thrice"] + [f"repeat-{i}" for i in range(6)],
+    )
+    def test_annotated_output_ignores_the_cache(self, source):
+        """Replays carry one flat location, so ``annotate`` keeps the
+        replay cache off: the comments match an uncached run's."""
+        outputs = {
+            expand(
+                source,
+                packages=gen.PACKAGES,
+                options=Ms2Options(annotate=True, cache=cache),
+            ).output
+            for cache in (True, False)
+        }
+        assert len(outputs) == 1
 
     def test_annotated_output_still_parses(self):
         """Annotation must not corrupt the C text (comments only)."""

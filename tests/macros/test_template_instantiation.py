@@ -143,13 +143,6 @@ class TestMarksAndAliasing:
         result = run("`(1 + $x)", {"x": EXP}, {"x": user})
         assert result.right.mark is None
 
-    def test_values_are_cloned_not_aliased(self):
-        user = nodes.Identifier("u")
-        result = run("`($x + $x)", {"x": EXP}, {"x": user})
-        assert result.left == result.right
-        assert result.left is not result.right
-        assert result.left is not user
-
     def test_template_reuse_is_safe(self):
         bq = parse_backquote("`(g($x))", {"x": EXP})
         one = instantiate(bq.template, lambda _: nodes.Identifier("a"), mark=1)
