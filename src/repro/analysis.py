@@ -9,9 +9,11 @@ Two families live here:
   nodes are marked, user code is not), :func:`detect_captures` reports
   every place where *user* code ends up bound by a
   *template-introduced* declaration — exactly the bugs hygiene
-  prevents.  Also exported: :func:`free_identifiers` (names used but
-  not bound in a subtree) and :func:`bound_names` (names declared by a
-  subtree).
+  prevents; :func:`alpha_canonical` prints a tree with its bound names
+  canonicalised, so hygienic output can be checked to mean what the
+  unhygienic output means.  Also exported: :func:`free_identifiers`
+  (names used but not bound in a subtree) and :func:`bound_names`
+  (names declared by a subtree).  All three read one scope walk.
 
 * **Purity analysis over meta-code** — :func:`analyze_macro_purity`
   decides, at definition time, whether a macro's expansion is a pure
@@ -30,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cast import decls, nodes, stmts
-from repro.cast.base import Node, children
+from repro.cast.base import Node, children, clone
+from repro.cast.printer import render_c
 from repro.errors import SourceLocation
 
 
@@ -69,47 +72,10 @@ def bound_names(node: Node) -> list[str]:
 
 def free_identifiers(node: Node) -> set[str]:
     """Identifiers referenced in ``node`` but not bound within it."""
-    collector = _FreeVariableScan()
-    collector.scan(node, frozenset())
-    return collector.free
-
-
-class _FreeVariableScan:
-    def __init__(self) -> None:
-        self.free: set[str] = set()
-
-    def scan(self, node: Node, bound: frozenset[str]) -> None:
-        if isinstance(node, nodes.Identifier):
-            if node.name not in bound:
-                self.free.add(node.name)
-            return
-        if isinstance(node, nodes.Member):
-            # Member names are field labels, not variable references.
-            self.scan(node.base, bound)
-            return
-        if isinstance(node, stmts.CompoundStmt):
-            inner = bound | frozenset(bound_names(node))
-            for d in node.decls:
-                self._scan_declaration(d, inner)
-            for s in node.stmts:
-                self.scan(s, inner)
-            return
-        if isinstance(node, decls.FunctionDef):
-            params = frozenset(_param_names(node.declarator))
-            self.scan(node.body, bound | params)
-            return
-        for child in children(node):
-            self.scan(child, bound)
-
-    def _scan_declaration(
-        self, d: Node, bound: frozenset[str]
-    ) -> None:
-        if isinstance(d, decls.Declaration):
-            for item in d.init_declarators:
-                if isinstance(item, decls.InitDeclarator) and item.init:
-                    self.scan(item.init, bound)
-        else:
-            self.scan(d, bound)
+    return {
+        ref.name for ref, binder in _ScopeWalk(node).references
+        if binder is None
+    }
 
 
 def detect_captures(root: Node) -> list[Capture]:
@@ -118,61 +84,88 @@ def detect_captures(root: Node) -> list[Capture]:
     A capture is an :class:`~repro.cast.nodes.Identifier` with no
     hygiene mark (user-written) whose innermost binder is a
     declaration *with* a mark (macro template output).  Running the
-    expander with ``hygienic=True`` makes this list empty by
-    construction.
+    expander with ``hygienic=True`` renames every local a template
+    declares, so only the parameters of a template-declared function
+    can still bind user code (``dispatch`` hands them to handlers).
     """
-    finder = _CaptureScan()
-    finder.scan(root, {})
-    return finder.captures
+    scan = _ScopeWalk(root)
+    return [
+        Capture(ref.name, scan.binders[binder][0], ref.loc)
+        for ref, binder in scan.references
+        if binder is not None
+        and scan.binders[binder][0] is not None
+        and ref.mark is None
+        # gensym output has a synthetic location (offset -1); only
+        # genuinely user-written references can be captured.
+        and ref.loc.offset >= 0
+    ]
 
 
-class _CaptureScan:
-    def __init__(self) -> None:
-        self.captures: list[Capture] = []
+def alpha_canonical(root: Node) -> str:
+    """``root`` printed with each local and parameter binder, and every
+    reference that resolves to it, renamed after the binder's pre-order
+    index: trees that differ only in the names of bound variables, as
+    hygienic output and the unhygienic output should, print the same."""
+    tree = clone(root)
+    scan = _ScopeWalk(tree)
+    for index, (_, declarator) in enumerate(scan.binders):
+        if declarator is not None:
+            declarator.name = f"${index}"
+    for ref, binder in scan.references:
+        if binder is not None and scan.binders[binder][1] is not None:
+            ref.name = f"${binder}"
+    return render_c(tree)
 
-    def scan(self, node: Node, binders: dict[str, int | None]) -> None:
+
+class _ScopeWalk:
+    """The one scope walk over C.  It resolves every identifier
+    reference in ``root`` to its innermost binder, a local of an
+    enclosing compound or a parameter of the enclosing function, and
+    records in pre-order each binder as ``(mark, declarator)`` (the
+    declaring node's mark; no declarator for a K&R name) and each
+    reference with its binder's index (None when free)."""
+
+    def __init__(self, root: Node) -> None:
+        self.binders: list[tuple[int | None, Node | None]] = []
+        self.references: list[tuple[nodes.Identifier, int | None]] = []
+        self._scan(root, {})
+
+    def _bind(self, scope: dict, name: str, mark, declarator) -> None:
+        scope[name] = len(self.binders)
+        self.binders.append((mark, declarator))
+
+    def _scan(self, node: Node, scope: dict[str, int]) -> None:
         if isinstance(node, nodes.Identifier):
-            binder_mark = binders.get(node.name, "unbound")
-            if (
-                binder_mark != "unbound"
-                and binder_mark is not None
-                and node.mark is None
-                # gensym output has a synthetic location (offset -1);
-                # only genuinely user-written references can be captured.
-                and node.loc.offset >= 0
-            ):
-                self.captures.append(
-                    Capture(node.name, binder_mark, node.loc)
-                )
-            return
-        if isinstance(node, nodes.Member):
-            self.scan(node.base, binders)
-            return
-        if isinstance(node, stmts.CompoundStmt):
-            inner = dict(binders)
-            for d in node.decls:
-                if isinstance(d, decls.Declaration):
-                    for name in bound_names(d):
-                        inner[name] = d.mark
+            self.references.append((node, scope.get(node.name)))
+        elif isinstance(node, nodes.Member):
+            # Member names are field labels, not variable references.
+            self._scan(node.base, scope)
+        elif isinstance(node, stmts.CompoundStmt):
+            inner = dict(scope)
             for d in node.decls:
                 if isinstance(d, decls.Declaration):
                     for item in d.init_declarators:
-                        if (
-                            isinstance(item, decls.InitDeclarator)
-                            and item.init is not None
-                        ):
-                            self.scan(item.init, inner)
+                        if isinstance(item, decls.InitDeclarator):
+                            found = _name_declarator(item.declarator)
+                            if found is not None:
+                                self._bind(inner, found.name, d.mark, found)
+            for d in node.decls:
+                if not isinstance(d, decls.Declaration):
+                    self._scan(d, inner)
+                    continue
+                for item in d.init_declarators:
+                    if isinstance(item, decls.InitDeclarator) and item.init:
+                        self._scan(item.init, inner)
             for s in node.stmts:
-                self.scan(s, inner)
-            return
-        if isinstance(node, decls.FunctionDef):
-            inner = dict(binders)
-            for name in _param_names(node.declarator):
-                inner[name] = node.mark
-            self.scan(node.body, inner)
-            return
-        for child in children(node):
-            self.scan(child, binders)
+                self._scan(s, inner)
+        elif isinstance(node, decls.FunctionDef):
+            inner = dict(scope)
+            for name, declarator in _params(node.declarator):
+                self._bind(inner, name, node.mark, declarator)
+            self._scan(node.body, inner)
+        else:
+            for child in children(node):
+                self._scan(child, scope)
 
 
 def undeclared_identifiers(
@@ -224,10 +217,15 @@ def _enum_constants_of(declaration: decls.Declaration) -> set[str]:
 
 
 def _declarator_name(declarator: Node) -> str | None:
+    found = _name_declarator(declarator)
+    return found.name if found is not None else None
+
+
+def _name_declarator(declarator: Node) -> decls.NameDeclarator | None:
     current = declarator
     while True:
         if isinstance(current, decls.NameDeclarator):
-            return current.name
+            return current
         if isinstance(
             current,
             (decls.PointerDeclarator, decls.ArrayDeclarator,
@@ -238,7 +236,9 @@ def _declarator_name(declarator: Node) -> str | None:
         return None
 
 
-def _param_names(declarator: Node) -> list[str]:
+def _params(declarator: Node) -> list[tuple[str, Node | None]]:
+    """``(name, NameDeclarator)`` per parameter of a function
+    declarator; a K&R name has no declarator."""
     current = declarator
     while current is not None and not isinstance(
         current, decls.FuncDeclarator
@@ -246,14 +246,14 @@ def _param_names(declarator: Node) -> list[str]:
         current = getattr(current, "inner", None)
     if current is None:
         return []
-    names: list[str] = []
+    params: list[tuple[str, Node | None]] = []
     for p in current.params:
         if isinstance(p, decls.ParamDecl):
-            name = _declarator_name(p.declarator)
-            if name is not None:
-                names.append(name)
-    names.extend(current.kr_names)
-    return names
+            found = _name_declarator(p.declarator)
+            if found is not None:
+                params.append((found.name, found))
+    params.extend((name, None) for name in current.kr_names)
+    return params
 
 
 # ===========================================================================

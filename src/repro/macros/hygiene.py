@@ -48,7 +48,7 @@ class _Renamer:
     """The pass's hooks.  Entering a compound that carries the mark
     renames its own declarations' binders (pre-order) and opens a scope
     over its subtree; a marked reference takes the rename of the
-    outermost open scope that has its name."""
+    innermost open scope that has its name."""
 
     def __init__(
         self, mark: int, interpreter: Interpreter, stats: Any = None
@@ -56,8 +56,8 @@ class _Renamer:
         self.mark = mark
         self.interpreter = interpreter
         self.stats = stats
-        #: Open scopes, innermost last, each merged with the ones
-        #: around it (outer renames win).
+        #: Open scopes, innermost last, each merged over the ones
+        #: around it (inner renames win).
         self.scopes: list[dict[str, str]] = []
 
     def enter(self, node: Node, copied: bool) -> tuple[Node, bool, bool]:
@@ -70,8 +70,8 @@ class _Renamer:
             renames: dict[str, str] = {}
             new_decls = [self._bind(item, renames) for item in node.decls]
             if renames:
-                renames.update(self.scopes[-1] if self.scopes else {})
-                self.scopes.append(renames)
+                outer = self.scopes[-1] if self.scopes else {}
+                self.scopes.append({**outer, **renames})
                 return replace(node, decls=new_decls), True, True
         return node, copied, False
 

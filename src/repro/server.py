@@ -209,9 +209,10 @@ class WorkerPool:
         options: Ms2Options,
         package_names: Sequence[str],
         package_sources: Sequence[tuple[str, str]],
+        key: str | None = None,
     ) -> MacroProcessor:
         """A fresh processor with the preamble loaded.  Its pool key
-        is warm from then on."""
+        (``key``, computed here when not given) is warm from then on."""
         from repro.packages import register_named
 
         if faults.ACTIVE is not None:
@@ -221,7 +222,8 @@ class WorkerPool:
             register_named(mp, name)
         for filename, source in package_sources:
             mp.load(source, filename)
-        key = self.key_for(options, package_names, package_sources)
+        if key is None:
+            key = self.key_for(options, package_names, package_sources)
         self._built.put(key, True, LOAD_MEMO_SIZE)
         return mp
 
@@ -235,7 +237,9 @@ class WorkerPool:
         worker is exclusively the caller's; it is never returned."""
         key = self.key_for(options, package_names, package_sources)
         warm = self.has_built(key)
-        worker = self.build_worker(options, package_names, package_sources)
+        worker = self.build_worker(
+            options, package_names, package_sources, key
+        )
         (self._warm_hits if warm else self._cold_builds).inc()
         return worker, key, warm
 

@@ -155,7 +155,7 @@ def test_hash_is_stable_and_ignores_observability() -> None:
 def test_hash_ignores_fields_that_cannot_change_output(name) -> None:
     """A field is hashed iff it can change output bytes or
     diagnostics.  The fast paths are byte-identical by contract (the
-    parity sweeps pin that), and observability never reaches the
+    differential matrix pins that), and observability never reaches the
     output, so toggling any of them must keep the disk-cache key and
     the shard affinity."""
     default = Ms2Options()

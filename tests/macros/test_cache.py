@@ -384,71 +384,3 @@ class TestReplayHardening:
             cache_mod._MAGIC + bytes([cache_mod.CACHE_FORMAT_VERSION])
         )
 
-
-class TestReplayChargesLikeReexpansion:
-    """A hit charges the expansion budget and the depth limit with the
-    work its fresh expansion did, so budgeted runs produce the same
-    output and diagnostics with the cache on and off."""
-
-    PKG = (
-        "syntax exp twice {| ( $$exp::e ) |} { return(`(($e) * 2)); }\n"
-        "syntax exp outer {| ( ) |} { return(`(twice(1) + 1)); }\n"
-    )
-    PROG = "int a = outer(); int b = outer(); int c = outer();"
-
-    @staticmethod
-    def _outcome(pkg, prog, **options):
-        from repro.errors import Ms2Error
-
-        mp = MacroProcessor(options=Ms2Options(**options))
-        mp.load(pkg)
-        try:
-            result = mp.expand(prog)
-        except Ms2Error as exc:
-            return ("error", str(exc)), mp.stats.cache_hits
-        return (
-            result.output,
-            [d.render() for d in result.diagnostics],
-        ), mp.stats.cache_hits
-
-    @pytest.mark.parametrize("recover", [False, True])
-    @pytest.mark.parametrize(
-        "budget",
-        [{"max_expansions": n} for n in range(1, 8)]
-        + [{"max_output_nodes": n} for n in (5, 12, 15, 20, 25, 40, 45)]
-        + [{"max_expansions": 5, "max_output_nodes": n} for n in (25, 45)],
-        ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()),
-    )
-    def test_budgeted_parity(self, budget, recover):
-        cached, _ = self._outcome(
-            self.PKG, self.PROG, recover=recover, **budget
-        )
-        uncached, _ = self._outcome(
-            self.PKG, self.PROG, recover=recover, cache=False, **budget
-        )
-        assert cached == uncached
-
-    def test_hits_still_fire_within_budget(self):
-        # Two fresh ``outer`` expansions (the second admits it), then
-        # two hits, each charged outer's 2 expansions: 8 in all.
-        prog = self.PROG + " int d = outer();"
-        _, hits = self._outcome(self.PKG, prog, max_expansions=8)
-        assert hits == 2
-
-    def test_depth_limit_parity(self):
-        """``outer`` first expands at the top, then is invoked 199
-        frames deep, where its nested ``twice`` passes the limit."""
-        from repro.macros.expander import MAX_EXPANSION_DEPTH
-
-        chain = MAX_EXPANSION_DEPTH - 1
-        callees = [f"m{i + 1}" for i in range(chain - 1)] + ["outer"]
-        # Defined innermost first: a template may only invoke macros
-        # that already exist.
-        pkg = self.PKG + "".join(
-            f"syntax exp m{i} {{| ( ) |}} {{ return(`({callees[i]}())); }}\n"
-            for i in reversed(range(chain))
-        )
-        prog = "int a = outer(); int b = m0();"
-        cached, _ = self._outcome(pkg, prog)
-        assert cached == self._outcome(pkg, prog, cache=False)[0]
-        assert cached[0] == "error" and "exceeded depth" in cached[1]

@@ -4,8 +4,9 @@ The compiler's contract is *exact* semantic parity with the
 meta-interpreter — same values, same error types, same error messages
 — plus observability (stats counters) and a per-macro fallback for
 constructs it punts on.  Output-level parity over the whole corpus
-lives in ``tests/integration/test_body_compile_parity.py``; these
-tests pin down the contract construct by construct.
+lives in the differential matrix,
+``tests/integration/test_differential.py``; these tests pin down the
+contract construct by construct.
 """
 
 from __future__ import annotations

@@ -160,3 +160,21 @@ class TestSplicedValuesRenameApart:
         assert "f(__tmp_1);" in out
         assert "int __tmp_2 = x;" in out
         assert "f(__tmp_2);" in out
+
+
+@pytest.mark.parametrize(
+    "compiled_bodies", [True, False], ids=["compiled", "interpreted"]
+)
+def test_reference_reads_its_innermost_binder(compiled_bodies):
+    """A marked reference takes the rename of the innermost compound
+    that binds its name, as the unhygienic program reads it."""
+    mp = MacroProcessor(
+        options=Ms2Options(hygienic=True, compiled_bodies=compiled_bodies)
+    )
+    mp.load(
+        "syntax stmt sh {| ( ) |} "
+        "{ return(`{{ int tmp = 1; { int tmp = 2; f(tmp); } }}); }"
+    )
+    out = mp.expand("void g(void) { sh(); }").output
+    assert "int __tmp_2 = 2;" in out
+    assert "f(__tmp_2);" in out

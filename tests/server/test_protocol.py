@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import socket
 import time
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,26 @@ def test_trace_returns_span_tree(server):
     assert result.spans, "trace must record spans"
     assert result.spans[0].children, "quad nests twice under twice"
     assert "quad" in tree and "twice" in tree
+
+
+def test_cli_profile_renders_wire_spans(server, capsys):
+    """``repro expand --server ADDR --profile`` builds the table from
+    the spans the daemon sent back, and stdout stays the plain
+    expansion."""
+    from repro.cli import main
+
+    path = Path(__file__).resolve().parents[2] / "examples/corpus/with_lock.c"
+    assert main(["expand", str(path)]) == 0
+    plain = capsys.readouterr().out
+    argv = ["expand", "--server", str(server.socket_path), "--profile"]
+    assert main([*argv, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    header, *rows = captured.err.splitlines()
+    assert header.split() == ["macro", "calls", "hits", "incl_ms", "self_ms"]
+    assert [row.split()[:3] for row in rows] == [
+        ["with_lock", "1", "0"], ["total", "1", "0"],
+    ]
 
 
 def test_requests_share_one_connection(server):
