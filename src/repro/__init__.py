@@ -30,26 +30,33 @@ import sys as _sys
 if _sys.getrecursionlimit() < 20_000:
     _sys.setrecursionlimit(20_000)
 
-from repro.cast.printer import render_c
-from repro.cast.sexpr import render_sexpr
-from repro.diagnostics import Diagnostic, DiagnosticSink, ExpansionBudget
-from repro.engine import MacroProcessor, expand_source
-from repro.options import ExpandResult, Ms2Options
-from repro.provenance import ExpandedLocation, ExpansionSite
-from repro.trace import ExpansionSpan, Tracer
-from repro.errors import (
-    ExpansionBudgetError,
-    ExpansionError,
-    LexError,
-    MacroSyntaxError,
-    MacroTypeError,
-    MetaInterpError,
-    Ms2Error,
-    ParseError,
-    PatternLookaheadError,
-    ResourceLimitError,
-    SourceLocation,
-)
+from repro._lazy import lazy_exports
+
+# Every public name is imported from its home module on first use, so
+# ``import repro.cli`` (and with it each ``repro expand`` process) pays
+# only for the modules its subcommand runs.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cast.printer": ("render_c",),
+    "repro.cast.sexpr": ("render_sexpr",),
+    "repro.diagnostics": ("Diagnostic", "DiagnosticSink", "ExpansionBudget"),
+    "repro.engine": ("MacroProcessor", "expand_source"),
+    "repro.options": ("ExpandResult", "Ms2Options"),
+    "repro.provenance": ("ExpandedLocation", "ExpansionSite"),
+    "repro.trace": ("ExpansionSpan", "Tracer"),
+    "repro.errors": (
+        "ExpansionBudgetError",
+        "ExpansionError",
+        "LexError",
+        "MacroSyntaxError",
+        "MacroTypeError",
+        "MetaInterpError",
+        "Ms2Error",
+        "ParseError",
+        "PatternLookaheadError",
+        "ResourceLimitError",
+        "SourceLocation",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+import repro.packages as _packages
+from repro._lazy import lazy_exports
 from repro.diagnostics import Diagnostic
-from repro.driver.cacheconfig import CacheConfig
 from repro.engine import MacroProcessor
 from repro.options import ExpandResult, Ms2Options
-from repro.client import Ms2Client, RetryPolicy, parse_server_address
-from repro.serveconfig import ServeConfig
 
 __all__ = [
     "Ms2Options",
@@ -50,14 +49,14 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # The daemon, and asyncio with it, loads on first use of ``serve``:
-    # library callers never pay for importing it.
-    if name == "serve":
-        from repro.server import serve
-
-        return serve
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# The client, the daemon (asyncio with it) and the config values load
+# on first use: a local ``expand`` caller pays for none of them.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.client": ("Ms2Client", "RetryPolicy", "parse_server_address"),
+    "repro.driver.cacheconfig": ("CacheConfig",),
+    "repro.serveconfig": ("ServeConfig",),
+    "repro.server": ("serve",),
+})
 
 
 def expand(
@@ -79,11 +78,9 @@ def expand(
     context, definitions accumulate) or talk to a warm daemon with
     :class:`Ms2Client`.
     """
-    from repro.packages import register_named
-
     mp = MacroProcessor(options=options)
     for name in packages:
-        register_named(mp, name)
+        _packages.register_named(mp, name)
     for package_name, package_source in package_sources:
         mp.load(package_source, str(package_name))
     return mp.expand(source, filename)

@@ -24,6 +24,12 @@ parallel, against a persistent content-hash cache — see
 Every subcommand funnels its flags through one
 :func:`options_from_args`, so the CLI's defaults are, by construction,
 the :class:`~repro.options.Ms2Options` defaults the library uses.
+
+Module-level imports here are the ones every subcommand's argument
+parser needs (option and config defaults, package names).  The engine,
+the driver, the daemon, the client and the fault injector load inside
+the subcommands and branches that run them, so a ``repro expand
+--server`` process never loads the AST modules at all.
 """
 
 from __future__ import annotations
@@ -32,22 +38,24 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro import faults
-from repro.driver.cacheconfig import CacheConfig
-from repro.driver.diskcache import DEFAULT_CACHE_DIR
-from repro.engine import MacroProcessor
+from repro.driver.cacheconfig import DEFAULT_CACHE_DIR, CacheConfig
 from repro.errors import Ms2Error
 from repro.options import Ms2Options
-from repro.packages import PACKAGE_NAMES, register_named
-from repro.trace import profile_table
+from repro.packages import PACKAGE_NAMES
+from repro.serveconfig import ServeConfig
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 #: The single source of defaults for every flag below.
 _DEFAULTS = Ms2Options()
 
 
 def _load_package(mp: MacroProcessor, name: str) -> None:
+    from repro.packages import register_named
+
     try:
         register_named(mp, name)
     except KeyError as exc:
@@ -83,6 +91,8 @@ def _arm_faults(args: argparse.Namespace) -> None:
     specs = getattr(args, "inject_fault", [])
     if not specs:
         return
+    from repro import faults
+
     try:
         parsed = [faults.parse_spec(spec) for spec in specs]
     except ValueError as exc:
@@ -360,8 +370,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "(one request followed client -> daemon -> spans)",
     )
 
-    from repro.serveconfig import ServeConfig
-
     # The single source of serve-flag defaults: the frozen ServeConfig
     # the library itself runs on (same pattern as _DEFAULTS above).
     serve_defaults = ServeConfig()
@@ -517,6 +525,8 @@ def _cmd_expand_local(args: argparse.Namespace) -> int:
     """The in-process expansion path (also the ``--fallback local``
     degradation target, which is why it is byte-identical to the
     server path by construction — same options, same preamble)."""
+    from repro.engine import MacroProcessor
+
     options = options_from_args(args)
     mp = MacroProcessor(options=options)
     for name in args.package:
@@ -533,6 +543,8 @@ def _cmd_expand_local(args: argparse.Namespace) -> int:
     if args.stats_json:
         print(json.dumps(mp.stats.to_json()), file=sys.stderr)
     if args.profile:
+        from repro.trace import profile_table
+
         print(profile_table(result.spans), file=sys.stderr)
     return 0 if result.ok else 1
 
@@ -549,7 +561,6 @@ def _cmd_expand_via_server(args: argparse.Namespace) -> int:
     instead of failing — same options, same preamble, so the output
     is the same bytes the daemon would have produced."""
     from repro.client import Ms2Client, count_fallback
-
     from repro.stats import PipelineStats
 
     options = options_from_args(args)
@@ -586,23 +597,25 @@ def _cmd_expand_via_server(args: argparse.Namespace) -> int:
     if args.stats_json:
         print(json.dumps(stats.to_json()), file=sys.stderr)
     if args.profile:
+        from repro.trace import profile_table
+
         print(profile_table(result.spans), file=sys.stderr)
     return 0 if result.ok else 1
 
 
-def serve_config_from_args(args: argparse.Namespace) -> "Any":
+def serve_config_from_args(args: argparse.Namespace) -> ServeConfig:
     """One :class:`~repro.serveconfig.ServeConfig` from the ``repro
     serve`` flags — the flags and the config share their defaults by
     construction (argparse defaults come from ``ServeConfig()``)."""
-    from repro.serveconfig import ServeConfig
+    fault_specs = tuple(getattr(args, "inject_fault", []))
+    if fault_specs:
+        from repro import faults
 
-    specs = list(getattr(args, "inject_fault", []))
-    try:
-        for spec in specs:
-            faults.parse_spec(spec)  # validate before any process spawns
-    except ValueError as exc:
-        raise SystemExit(f"--inject-fault: {exc}") from None
-    fault_specs = tuple(specs)
+        try:
+            for spec in fault_specs:
+                faults.parse_spec(spec)  # validate before any spawn
+        except ValueError as exc:
+            raise SystemExit(f"--inject-fault: {exc}") from None
     return ServeConfig(
         socket=str(args.socket) if args.socket is not None else None,
         host=args.host,
@@ -633,6 +646,10 @@ def serve_config_from_args(args: argparse.Namespace) -> "Any":
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the expansion daemon (or, with
     ``--shards N``, the supervised shard fleet) until shut down."""
+    # The engine first: without bytecode caches, compiling its large
+    # parser modules before asyncio and the daemon are resident keeps
+    # the daemon's peak RSS at what an eager ``import repro`` gave.
+    import repro.engine  # noqa: F401
     from repro import server as server_mod
 
     config = serve_config_from_args(args)
@@ -814,6 +831,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not args.files:
         raise SystemExit("repro trace: file arguments required "
                          "(or use --events LOG)")
+    from repro.engine import MacroProcessor
+
     jsonl_stream = args.jsonl.open("w") if args.jsonl else None
     options = options_from_args(args).replace(
         trace=True, trace_jsonl=jsonl_stream
@@ -841,12 +860,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
             jsonl_stream.close()
     print(mp.tracer.render_tree())
     if args.profile:
+        from repro.trace import profile_table
+
         print(profile_table(mp.tracer.roots))
     return 0
 
 
 def cmd_macros(args: argparse.Namespace) -> int:
     """``repro macros``: list macro keywords with their signatures."""
+    from repro.engine import MacroProcessor
+
     mp = MacroProcessor()
     for name in args.package:
         _load_package(mp, name)
@@ -877,6 +900,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: expand and lint (captures + undeclared names)."""
     from repro.analysis import detect_captures, undeclared_identifiers
+    from repro.engine import MacroProcessor
 
     mp = MacroProcessor()
     for name in args.package:

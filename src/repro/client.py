@@ -33,13 +33,13 @@ from typing import Any, Sequence
 
 from repro.errors import Ms2Error
 from repro.options import ExpandResult, Ms2Options
-from repro.telemetry import new_request_id
 
 __all__ = [
     "Ms2Client",
     "Ms2ServerError",
     "RetryPolicy",
     "client_counters",
+    "new_request_id",
     "parse_address",
     "parse_server_address",
 ]
@@ -50,6 +50,14 @@ DEFAULT_TIMEOUT_S = 60.0
 #: Protocol error codes that signal a *transient* server condition —
 #: the request was not the problem, trying again may succeed.
 RETRYABLE_CODES = frozenset({"busy", "shutting_down", "unavailable"})
+
+
+def new_request_id() -> str:
+    """A fresh request correlation ID: 16 hex chars, log-friendly.
+    The client stamps one on every frame; the daemon mints one for a
+    frame that came without (re-exported by :mod:`repro.telemetry`)."""
+    return os.urandom(8).hex()
+
 
 # Process-wide resilience counters (every client instance sums into
 # these; the server's telemetry collector mirrors them into the

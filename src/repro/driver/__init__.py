@@ -29,20 +29,23 @@ of the same pipeline:
   :class:`BuildReport` (``repro build --report json``).
 """
 
-from repro.driver.cachebackend import (
-    CacheBackend,
-    RemoteCacheBackend,
-    TieredBackend,
-)
-from repro.driver.cacheconfig import CacheConfig
-from repro.driver.diskcache import DEFAULT_CACHE_DIR, PersistentCache
-from repro.driver.locks import FileLock, LockTimeout
-from repro.driver.report import BuildReport, FileResult
-from repro.driver.scheduler import (
-    BuildSession,
-    resolve_inputs,
-    write_outputs,
-)
+from repro._lazy import lazy_exports
+
+# Names load from their home modules on first use: the CLI reads
+# ``CacheConfig`` for its flag defaults without loading the scheduler
+# (and the process pool, multiprocessing with it).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.driver.cachebackend": (
+        "CacheBackend", "RemoteCacheBackend", "TieredBackend",
+    ),
+    "repro.driver.cacheconfig": ("CacheConfig", "DEFAULT_CACHE_DIR"),
+    "repro.driver.diskcache": ("PersistentCache",),
+    "repro.driver.locks": ("FileLock", "LockTimeout"),
+    "repro.driver.report": ("BuildReport", "FileResult"),
+    "repro.driver.scheduler": (
+        "BuildSession", "resolve_inputs", "write_outputs",
+    ),
+})
 
 __all__ = [
     "BuildReport",

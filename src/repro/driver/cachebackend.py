@@ -47,6 +47,11 @@ from time import perf_counter
 from typing import Any, Protocol, runtime_checkable
 
 from repro import faults
+from repro.client import Ms2Client
+from repro.driver.cacheconfig import (
+    DEFAULT_REMOTE_TIMEOUT_S,
+    DEFAULT_WRITE_BEHIND,
+)
 from repro.driver.diskcache import PersistentCache
 from repro.errors import Ms2Error
 
@@ -175,8 +180,6 @@ class RemoteCacheBackend:
         timeout_s: float | None = None,
         fail_open: bool = True,
     ) -> None:
-        from repro.driver.cacheconfig import DEFAULT_REMOTE_TIMEOUT_S
-
         self.address = str(address)
         self.timeout_s = (
             float(timeout_s)
@@ -213,8 +216,6 @@ class RemoteCacheBackend:
     def _client(self) -> Any:
         client = getattr(self._tls, "client", None)
         if client is None:
-            from repro.client import Ms2Client
-
             client = Ms2Client(self.address, timeout=self.timeout_s)
             self._tls.client = client
             with self._mu:
@@ -410,8 +411,6 @@ class TieredBackend:
         *,
         write_behind: int | None = None,
     ) -> None:
-        from repro.driver.cacheconfig import DEFAULT_WRITE_BEHIND
-
         self.local = local
         self.remote = remote
         self.write_behind = (

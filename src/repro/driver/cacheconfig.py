@@ -26,14 +26,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.driver.diskcache import DEFAULT_CACHE_DIR
-
 __all__ = [
     "CACHE_FIELDS",
     "CacheConfig",
+    "DEFAULT_CACHE_DIR",
     "DEFAULT_REMOTE_TIMEOUT_S",
     "DEFAULT_WRITE_BEHIND",
 ]
+
+#: Default cache root, relative to the build's working directory.
+DEFAULT_CACHE_DIR = ".ms2-cache"
 
 #: Client-side budget for one remote cache operation, seconds.  A
 #: remote answer that arrives later than this is treated as a miss —

@@ -49,6 +49,7 @@ from time import perf_counter
 from typing import Any
 
 from repro import faults
+from repro.driver.cacheconfig import DEFAULT_CACHE_DIR
 from repro.driver.locks import FileLock, LockTimeout
 from repro.macros.cache import (
     CACHE_FORMAT_VERSION,
@@ -57,9 +58,6 @@ from repro.macros.cache import (
 )
 
 __all__ = ["PersistentCache", "DEFAULT_CACHE_DIR"]
-
-#: Default cache root, relative to the build's working directory.
-DEFAULT_CACHE_DIR = ".ms2-cache"
 
 #: Snapshot filename extension.
 _SNAPSHOT_SUFFIX = ".ms2c"

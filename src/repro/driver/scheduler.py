@@ -42,6 +42,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable, Sequence
 
+import repro.packages as _packages
 from repro import __version__, faults
 from repro.driver.cacheconfig import CacheConfig
 from repro.driver.report import BuildReport, FileResult
@@ -119,11 +120,9 @@ def _fresh_processor(config: _WorkerConfig) -> MacroProcessor:
     """A processor with the shared packages loaded — the per-file
     isolation boundary (definitions in one program file never leak
     into another)."""
-    from repro.packages import register_named
-
     mp = MacroProcessor(options=config.options)
     for name in config.package_names:
-        register_named(mp, name)
+        _packages.register_named(mp, name)
     for filename, source in config.package_sources:
         mp.load(source, filename)
     return mp

@@ -24,12 +24,11 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.diagnostics import DEFAULT_MAX_ERRORS, ExpansionBudget
+from repro.diagnostics import DEFAULT_MAX_ERRORS, Diagnostic, ExpansionBudget
+from repro.stats import PipelineStats
 
 if TYPE_CHECKING:
     from repro.cast.decls import TranslationUnit
-    from repro.diagnostics import Diagnostic
-    from repro.stats import PipelineStats
     from repro.trace import ExpansionSpan
 
 __all__ = [
@@ -290,11 +289,9 @@ class ExpandResult:
     def from_json(cls, data: dict[str, Any]) -> "ExpandResult":
         """Rebuild a result from a :meth:`to_json` payload (the
         client side of the server protocol).  ``unit`` is None; span
-        trees are relinked from their parent ids."""
-        from repro.diagnostics import Diagnostic
-        from repro.stats import PipelineStats
-        from repro.trace import ExpansionSpan
-
+        trees are relinked from their parent ids.  :mod:`repro.trace`
+        (and the AST modules it needs) loads only for a payload that
+        carries spans, so a thin client never imports the AST."""
         if not isinstance(data, dict):
             raise ValueError("result payload must be a JSON object")
         diagnostics = [
@@ -302,16 +299,20 @@ class ExpandResult:
         ]
         stats_data = data.get("stats")
         stats = PipelineStats.from_json(stats_data) if stats_data else None
-        by_id: dict[int, Any] = {}
         roots = []
-        for record in data.get("spans", []):
-            span = ExpansionSpan.from_json(record)
-            by_id[span.span_id] = span
-            parent = by_id.get(span.parent_id)
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                roots.append(span)
+        records = data.get("spans")
+        if records:
+            from repro.trace import ExpansionSpan
+
+            by_id: dict[int, Any] = {}
+            for record in records:
+                span = ExpansionSpan.from_json(record)
+                by_id[span.span_id] = span
+                parent = by_id.get(span.parent_id)
+                if parent is not None:
+                    parent.children.append(span)
+                else:
+                    roots.append(span)
         return cls(
             output=data.get("output", ""),
             unit=None,

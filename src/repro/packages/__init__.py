@@ -11,6 +11,10 @@ itself — not in Python) plus a ``register(mp)`` helper.
 >>> painting.register(mp, protected=True)
 """
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 from repro.packages import (  # noqa: F401
     contracts,
     dispatch,
@@ -25,7 +29,8 @@ from repro.packages import (  # noqa: F401
     structio,
 )
 
-from repro.engine import MacroProcessor
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 ALL_PACKAGES = [exceptions, painting, dynbind, enumio, loops, structio]
 

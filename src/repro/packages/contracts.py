@@ -16,7 +16,10 @@ stringizes the parsed, canonical expression).
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 #: The reporting hook the expanded code calls.
 RUNTIME_SUPPORT = """

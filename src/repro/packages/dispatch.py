@@ -11,7 +11,10 @@ The package starts with the Windows-ish typedefs its templates use.
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 typedef int HWND;

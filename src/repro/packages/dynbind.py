@@ -8,7 +8,10 @@ behind special variables and exception-handler stacks.  Uses
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 syntax stmt dynamic_bind

@@ -10,7 +10,10 @@ identifiers into string literals).
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 syntax decl myenum[] {| $$id::name { $$+/, id::ids } ; |}

@@ -21,7 +21,10 @@ value is an identifier or literal.
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 #: Declarations the expanded code links against.
 RUNTIME_SUPPORT = """

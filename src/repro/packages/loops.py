@@ -17,7 +17,10 @@ constructs ... are easily implemented").
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 syntax stmt forever {| $$stmt::body |}

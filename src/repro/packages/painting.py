@@ -12,7 +12,10 @@ Two variants are provided:
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 syntax stmt Painting {| $$stmt::body |}

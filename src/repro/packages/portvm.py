@@ -16,7 +16,10 @@ Targets: ``unix`` (1) and ``windows`` (2).
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 metadcl int vm_target_kind = 1;

@@ -15,7 +15,10 @@ here:
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 syntax stmt sdynamic_bind {| { $$id::name = $$exp::init } $$stmt::body |}

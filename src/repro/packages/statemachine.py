@@ -21,7 +21,10 @@ parameters are the corresponding tuple types.
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 syntax decl state_machine[] {|

@@ -11,7 +11,10 @@ the predefined ``decl->name`` component accessor.
 
 from __future__ import annotations
 
-from repro.engine import MacroProcessor
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine import MacroProcessor
 
 SOURCE = """
 syntax decl serializable[] {| $$id::name { $$+decl::fields } ; |}

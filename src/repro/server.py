@@ -76,7 +76,12 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Sequence
 
+import repro.packages as _packages
 from repro import __version__, faults
+from repro.client import client_counters
+from repro.driver.cachebackend import snapshot_digest, validate_snapshot
+from repro.driver.diskcache import PersistentCache
+from repro.driver.scheduler import BuildSession
 from repro.engine import LOAD_MEMO_SIZE, MacroProcessor
 from repro.errors import Ms2Error
 from repro.macros.memo import ProcessMemo
@@ -213,13 +218,11 @@ class WorkerPool:
     ) -> MacroProcessor:
         """A fresh processor with the preamble loaded.  Its pool key
         (``key``, computed here when not given) is warm from then on."""
-        from repro.packages import register_named
-
         if faults.ACTIVE is not None:
             faults.ACTIVE.hit("pool.build_worker")
         mp = MacroProcessor(options=options)
         for name in package_names:
-            register_named(mp, name)
+            _packages.register_named(mp, name)
         for filename, source in package_sources:
             mp.load(source, filename)
         if key is None:
@@ -515,8 +518,6 @@ class Ms2Server:
         #: (same directory, same per-entry locks), so its counters
         #: measure exactly the remote-cache traffic served.
         if self.cache_dir is not None:
-            from repro.driver.diskcache import PersistentCache
-
             self.cache_authority: Any = PersistentCache(self.cache_dir)
         else:
             self.cache_authority = None
@@ -725,8 +726,6 @@ class Ms2Server:
         store and every build session's), build-executor restarts,
         the event log, the fault plan and the in-process client's
         resilience counters."""
-        from repro.client import client_counters
-
         m = self._m
         m["uptime"].set(round(perf_counter() - self._started, 3))
         m["draining"].set(1.0 if self._draining else 0.0)
@@ -1164,11 +1163,6 @@ class Ms2Server:
         wire as their JSON payload dicts plus a content digest; the
         disk format's own framing + integrity bytes guard the entry
         at rest exactly as they do for local builds."""
-        from repro.driver.cachebackend import (
-            snapshot_digest,
-            validate_snapshot,
-        )
-
         cache = self.cache_authority
         if cache is None:
             return _err(
@@ -1480,8 +1474,6 @@ class Ms2Server:
         """The BuildSession serving ``expand_file`` for this pool key
         — jobs=1 (the daemon's executor is the concurrency), sharing
         the server's persistent cache directory."""
-        from repro.driver.scheduler import BuildSession
-
         key = self.pool.key_for(options, package_names, package_sources)
         with self._sessions_lock:
             session = self._sessions.get(key)

@@ -50,11 +50,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.client import Ms2Client
 from repro.metrics_http import HttpFront
 from repro.options import Ms2Options
 from repro.serveconfig import ServeConfig
-from repro.server import _err, _ok
-from repro.telemetry import new_request_id
+from repro.server import _err, _ok, stats_view
+from repro.telemetry import (
+    MetricsRegistry,
+    merge_snapshots,
+    new_request_id,
+    render_snapshot,
+)
 
 __all__ = [
     "ShardSupervisor",
@@ -114,9 +120,6 @@ def fleet_stats_view(
     list keeps each shard's ``server`` section and load numbers for
     ``repro top``'s breakdown.
     """
-    from repro.server import stats_view
-    from repro.telemetry import merge_snapshots
-
     infos = [reply["info"] for reply in replies]
     server = dict(infos[0]["server"]) if infos else {}
     server.update(pid=os.getpid(), shard=None)
@@ -219,8 +222,6 @@ class ShardSupervisor:
     # -- registry --------------------------------------------------------
 
     def _build_registry(self) -> Any:
-        from repro.telemetry import MetricsRegistry
-
         reg = MetricsRegistry()
         self._m_restarts = reg.counter(
             "ms2_shard_restarts_total",
@@ -333,8 +334,6 @@ class ShardSupervisor:
         state.started_at = time.monotonic()
 
     def _ping_shard(self, state: _ShardState, timeout: float) -> None:
-        from repro.client import Ms2Client
-
         client = Ms2Client(str(state.control_socket))
         try:
             client.wait_ready(timeout=timeout)
@@ -413,8 +412,6 @@ class ShardSupervisor:
     ) -> dict[str, Any]:
         """One raw protocol frame to one shard, blocking (run it in a
         thread)."""
-        from repro.client import Ms2Client
-
         with Ms2Client(str(state.control_socket), timeout=30.0) as client:
             return client.request(dict(frame))
 
@@ -470,8 +467,6 @@ class ShardSupervisor:
     async def fleet_snapshot(self) -> dict[str, Any]:
         """Every shard's registry snapshot merged with the
         supervisor's own (restart counters, fleet gauges)."""
-        from repro.telemetry import merge_snapshots
-
         replies = await self._shard_telemetry()
         return merge_snapshots(
             [self.registry.snapshot()]
@@ -504,8 +499,6 @@ class ShardSupervisor:
         return None if self.live_shards() else "no live shards"
 
     async def http_metrics(self) -> str:
-        from repro.telemetry import render_snapshot
-
         return render_snapshot(await self.fleet_snapshot())
 
     async def http_stats(self) -> dict[str, Any]:

@@ -33,9 +33,10 @@ one ``response`` record per frame plus a ``span`` record per traced
 expansion, all keyed by the request ID, so one request can be followed
 client → daemon → expansion spans (``repro trace --events``).
 
-**Request IDs** — :func:`new_request_id` mints the compact hex IDs the
-client stamps on every frame, the server echoes in every response, and
-the tracer stamps onto spans.
+**Request IDs** — :func:`new_request_id` (defined in
+:mod:`repro.client`, so the client needs nothing from this module)
+mints the compact hex IDs the client stamps on every frame, the server
+echoes in every response, and the tracer stamps onto spans.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ import json
 import re
 import threading
 import time
-import uuid
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Mapping, Sequence
 
 from repro import faults
+from repro.client import new_request_id
 
 __all__ = [
     "Counter",
@@ -83,11 +84,6 @@ LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Snapshot wire-format version (bumped on incompatible change).
 SNAPSHOT_VERSION = 1
-
-
-def new_request_id() -> str:
-    """A fresh request correlation ID: 16 hex chars, log-friendly."""
-    return uuid.uuid4().hex[:16]
 
 
 def validate_metric_name(name: str) -> str:

@@ -14,6 +14,7 @@ import repro
 
 PUBLIC_MODULES = [
     "repro",
+    "repro._lazy",
     "repro.analysis",
     "repro.api",
     "repro.asttypes",

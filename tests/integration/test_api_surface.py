@@ -9,13 +9,18 @@ check, so the surface can grow but never shrink.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro.api as api
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: The v1 surface.  Names may be ADDED over time; removing or
 #: renaming any of these is a compatibility break.
@@ -75,6 +80,170 @@ def test_library_import_leaves_the_daemon_unloaded() -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_library_import_leaves_the_client_unloaded() -> None:
+    """The client and its config values resolve on first use too: a
+    local caller pays for neither the socket layer nor telemetry."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.api\n"
+         "print(sorted({'repro.client', 'repro.telemetry', "
+         "'repro.faults', 'socket'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# What each ``repro expand`` path imports
+# ---------------------------------------------------------------------------
+
+LOOPS_PROGRAM = """\
+int main(void) {
+    int i;
+    unroll (3) { work(i); }
+    for_range j = 0 to 4 { tick(j); }
+    unless (done) stop();
+    return 0;
+}
+"""
+
+
+def run_cli_expand(*args: str) -> tuple[str, set[str]]:
+    """``python -m repro expand ARGS`` in a fresh interpreter: its
+    stdout and the names of every module it imported (read from
+    ``-X importtime``, which lists each one as it first loads)."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "expand",
+         *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    }
+    assert "repro.cli" in loaded, proc.stderr
+    return proc.stdout, loaded
+
+
+def loaded_under(loaded: set[str], packages: tuple[str, ...]) -> list[str]:
+    return sorted(
+        name for name in loaded
+        if any(name == p or name.startswith(p + ".") for p in packages)
+    )
+
+
+def test_local_expand_loads_no_driver_daemon_or_client(tmp_path) -> None:
+    program = tmp_path / "prog.c"
+    program.write_text(LOOPS_PROGRAM)
+    output, loaded = run_cli_expand("-p", "loops", str(program))
+    assert loaded_under(loaded, (
+        "repro.driver.scheduler", "repro.driver.cachebackend",
+        "repro.server", "repro.client", "repro.faults", "asyncio",
+    )) == []
+    assert output == api.expand_file(program, packages=["loops"]).output
+
+
+def test_thin_client_loads_no_ast_modules(tmp_path) -> None:
+    """``repro expand --server`` against a live daemon imports none of
+    the engine, parser, macro or AST modules, and prints the library's
+    bytes."""
+    from tests.server.conftest import ServerHandle
+
+    program = tmp_path / "prog.c"
+    program.write_text(LOOPS_PROGRAM)
+    handle = ServerHandle(tmp_path / "d.sock").start()
+    try:
+        output, loaded = run_cli_expand(
+            "-p", "loops", "--server", str(handle.socket_path),
+            str(program),
+        )
+    finally:
+        handle.stop()
+    assert loaded_under(loaded, (
+        "repro.engine", "repro.parser", "repro.macros", "repro.cast",
+    )) == []
+    assert output == api.expand_file(program, packages=["loops"]).output
+
+
+# ---------------------------------------------------------------------------
+# Lazy package roots
+# ---------------------------------------------------------------------------
+
+#: Each lazy root's public names by the module that defines them.
+ROOT_HOMES = {
+    "repro": {
+        "repro.cast.printer": ["render_c"],
+        "repro.cast.sexpr": ["render_sexpr"],
+        "repro.diagnostics": [
+            "Diagnostic", "DiagnosticSink", "ExpansionBudget",
+        ],
+        "repro.engine": ["MacroProcessor", "expand_source"],
+        "repro.options": ["ExpandResult", "Ms2Options"],
+        "repro.provenance": ["ExpandedLocation", "ExpansionSite"],
+        "repro.trace": ["ExpansionSpan", "Tracer"],
+        "repro.errors": [
+            "ExpansionBudgetError", "ExpansionError", "LexError",
+            "MacroSyntaxError", "MacroTypeError", "MetaInterpError",
+            "Ms2Error", "ParseError", "PatternLookaheadError",
+            "ResourceLimitError", "SourceLocation",
+        ],
+    },
+    "repro.driver": {
+        "repro.driver.cachebackend": [
+            "CacheBackend", "RemoteCacheBackend", "TieredBackend",
+        ],
+        "repro.driver.cacheconfig": ["CacheConfig", "DEFAULT_CACHE_DIR"],
+        "repro.driver.diskcache": ["PersistentCache"],
+        "repro.driver.locks": ["FileLock", "LockTimeout"],
+        "repro.driver.report": ["BuildReport", "FileResult"],
+        "repro.driver.scheduler": [
+            "BuildSession", "resolve_inputs", "write_outputs",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("root_name", sorted(ROOT_HOMES))
+def test_lazy_root_names_are_their_home_objects(root_name) -> None:
+    root = importlib.import_module(root_name)
+    homes = ROOT_HOMES[root_name]
+    exported = set(root.__all__) - {"__version__"}
+    assert exported == {n for names in homes.values() for n in names}
+    for home, names in homes.items():
+        module = importlib.import_module(home)
+        for name in names:
+            assert getattr(root, name) is getattr(module, name), name
+
+    namespace: dict = {}
+    exec(f"from {root_name} import *", namespace)
+    for name in root.__all__:
+        assert namespace[name] is getattr(root, name), name
+    assert set(root.__all__) <= set(dir(root))
+    with pytest.raises(AttributeError):
+        getattr(root, "no_such_name")
+
+
+def test_package_roots_import_nothing_eagerly() -> None:
+    """``import repro.driver`` (and with it ``repro``) loads neither
+    the engine nor the scheduler, yet sets the recursion limit."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.driver\n"
+         "print(sorted({'repro.engine', 'repro.driver.scheduler', "
+         "'repro.driver.diskcache'} & set(sys.modules)))\n"
+         "print(sys.getrecursionlimit() >= 20000)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]
 
 
 def test_expand_minimal_call_shape() -> None:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -195,3 +196,59 @@ class TestFigures:
         out = capsys.readouterr().out
         assert "(declaration (int) y)" in out
         assert "Syntactically Illegal Program" in out
+
+
+def help_defaults(text: str) -> dict[str, str]:
+    """``{flag: shown default}`` from an argparse ``--help`` text: the
+    value after "default " in each long option's help, if any."""
+    entries: list[str] = []
+    for line in text.splitlines():
+        if line.startswith("  -"):
+            entries.append(line)
+        elif entries and line.startswith("   "):
+            entries[-1] += line
+    defaults = {}
+    for entry in entries:
+        flag = entry.split()[0].rstrip(",")
+        match = re.search(r"\bdefault ([^\s;)]+)", " ".join(entry.split()))
+        if match is not None:
+            defaults[flag] = match.group(1)
+    return defaults
+
+
+def test_help_defaults_are_the_config_defaults(capsys) -> None:
+    """What ``repro build --help`` and ``repro serve --help`` print as
+    defaults is ``CacheConfig()`` and ``ServeConfig()``."""
+    from repro.driver.cacheconfig import CacheConfig
+    from repro.serveconfig import ServeConfig
+
+    cache, serve = CacheConfig(), ServeConfig()
+    expected = {
+        "build": {
+            "--cache-dir": cache.local_dir,
+            "--write-behind": cache.write_behind,
+            "--remote-timeout-s": cache.remote_timeout_s,
+        },
+        "serve": {
+            "--cache-dir": cache.local_dir,
+            "--host": serve.host,
+            "--shards": serve.shards,
+            "--max-inflight": serve.max_inflight,
+            "--queue-limit": serve.queue_limit,
+            "--drain-s": serve.drain_s,
+            "--max-frame-bytes": serve.max_frame_bytes,
+            "--metrics-host": serve.metrics_host,
+        },
+    }
+    for subcommand, values in expected.items():
+        with pytest.raises(SystemExit):
+            main([subcommand, "--help"])
+        shown = help_defaults(capsys.readouterr().out)
+        for flag, value in values.items():
+            assert type(value)(shown[flag]) == value, (subcommand, flag)
+
+
+def test_default_cache_dir_has_one_home() -> None:
+    from repro.driver import cacheconfig, diskcache
+
+    assert diskcache.DEFAULT_CACHE_DIR is cacheconfig.DEFAULT_CACHE_DIR
