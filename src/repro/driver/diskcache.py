@@ -20,11 +20,15 @@ unchanged.  Entries live as snapshot files under a cache root
 Payloads are JSON, not pickle: the cache directory is shared between
 invocations (and potentially users), and loading a snapshot must
 never be able to execute code — a hostile ``.ms2c`` file can at worst
-read as corrupt.  Robustness mirrors the in-memory path exactly:
+read as corrupt.  These snapshots are the only serialized expansion
+results in the pipeline (the in-memory replay cache keeps trees), so
+this module owns the snapshot framing and every check on it:
 
-- snapshots reuse the versioned ``MS2C`` + format-byte header from
-  :mod:`repro.macros.cache`; a version bump invalidates old entries
-  wholesale (they read as *stale* and are evicted);
+- each snapshot starts with the versioned ``MS2C`` + format-byte
+  header (:data:`SNAPSHOT_HEADER`, :func:`frame_snapshot`); a bump of
+  :data:`CACHE_FORMAT_VERSION`, which every build key also digests,
+  invalidates old entries wholesale (they read as *stale* and are
+  evicted);
 - **corrupt or truncated** snapshots — JSON decode explosions, wrong
   payload shape, key mismatch — are evicted and counted, and the
   caller falls back to re-expansion; corruption can never surface as
@@ -51,13 +55,23 @@ from typing import Any
 from repro import faults
 from repro.driver.cacheconfig import DEFAULT_CACHE_DIR
 from repro.driver.locks import FileLock, LockTimeout
-from repro.macros.cache import (
-    CACHE_FORMAT_VERSION,
-    frame_snapshot,
-    unframe_snapshot,
-)
 
-__all__ = ["PersistentCache", "DEFAULT_CACHE_DIR"]
+__all__ = [
+    "PersistentCache",
+    "DEFAULT_CACHE_DIR",
+    "CACHE_FORMAT_VERSION",
+    "SNAPSHOT_HEADER",
+    "frame_snapshot",
+    "unframe_snapshot",
+]
+
+#: Snapshot format version.  Bumped whenever the snapshot layout
+#: changes; snapshots carrying any other version read as stale and
+#: are re-expanded, and build keys move with it.
+CACHE_FORMAT_VERSION = 1
+
+#: The version-stamped snapshot header: ``MS2C`` + format byte.
+SNAPSHOT_HEADER = b"MS2C" + bytes([CACHE_FORMAT_VERSION])
 
 #: Snapshot filename extension.
 _SNAPSHOT_SUFFIX = ".ms2c"
@@ -65,10 +79,24 @@ _SNAPSHOT_SUFFIX = ".ms2c"
 #: Keys every well-formed snapshot payload must carry.
 _REQUIRED_KEYS = frozenset({"key", "output"})
 
-#: Bytes of sha256(body) stored between header and body.  RAM blobs
-#: don't need this, but disk rots: without it a flipped bit inside a
-#: JSON string could decode "successfully" into wrong output.
+#: Bytes of sha256(body) stored between header and body.  Disk rots:
+#: without it a flipped bit inside a JSON string could decode
+#: "successfully" into wrong output.
 _DIGEST_LEN = 8
+
+
+def frame_snapshot(payload: bytes) -> bytes:
+    """Prefix ``payload`` with the version-stamped snapshot header."""
+    return SNAPSHOT_HEADER + payload
+
+
+def unframe_snapshot(blob: bytes) -> bytes | None:
+    """Strip and validate the snapshot header; ``None`` when the blob
+    is truncated, garbled, or stamped with another format version —
+    the caller treats all three as a miss and re-expands."""
+    if blob[: len(SNAPSHOT_HEADER)] != SNAPSHOT_HEADER:
+        return None
+    return blob[len(SNAPSHOT_HEADER):]
 
 
 def _digest(body: bytes) -> bytes:

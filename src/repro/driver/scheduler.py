@@ -48,7 +48,6 @@ from repro.driver.cacheconfig import CacheConfig
 from repro.driver.report import BuildReport, FileResult
 from repro.engine import MacroProcessor
 from repro.errors import ExpansionBudgetError, Ms2Error
-from repro.macros.cache import CACHE_FORMAT_VERSION
 from repro.options import Ms2Options
 
 __all__ = ["BuildSession", "resolve_inputs", "write_outputs"]
@@ -291,6 +290,10 @@ class BuildSession:
         """Digest of the shared macro context: package names, package
         sources, pipeline version, snapshot format version.  Any
         change to what macros mean invalidates every file's key."""
+        # Imported here, so importing the scheduler does not load the
+        # disk cache.
+        from repro.driver.diskcache import CACHE_FORMAT_VERSION
+
         digest = hashlib.sha256()
         digest.update(__version__.encode("utf-8"))
         digest.update(bytes([CACHE_FORMAT_VERSION]))

@@ -119,7 +119,7 @@ class MacroProcessor:
         # a replay stamps on every node.
         replay_differs = options.hygienic or options.annotate
         use_cache = options.cache and not replay_differs
-        self.cache = ExpansionCache(self.stats) if use_cache else None
+        self.cache = ExpansionCache() if use_cache else None
         #: Optional resource budget shared by every expansion run,
         #: built from the options' budget fields.
         self.budget = options.make_budget()

@@ -16,31 +16,29 @@ and capture detection match a re-expansion; the nested backtraces a
 fresh expansion records do not, so annotated runs and hygienic ones
 (whose renames depend on the surroundings) keep the cache off.
 
-Replay is the hot path, so entries are stored *pickled*: the byte
-blob is an immutable snapshot and ``pickle.loads`` rebuilds the whole
-tree in C, an order of magnitude faster than a field-by-field Python
-copy.  The replay-variant parts of a tree are externalized through
-pickle's persistent-ID machinery: every
-:class:`~repro.errors.SourceLocation` pickles as the persistent ID
-``"loc"``, and each distinct hygiene mark pickles as a ``("m", n)``
-ID (via a one-time snapshot walk at store time that wraps mark ints
-in :class:`_MarkToken`).  The unpickler resolves ``"loc"`` to the
-replaying invocation's location and each distinct mark ID to a fresh
-mark from the expander's counter — re-stamping the entire tree as a
-side effect of loading it.
+Entries are trees.  :meth:`ExpansionCache.store` keeps a private
+copy of the result, so nothing the caller later does to its own result
+reaches the entry; :meth:`ExpansionCache.replay` returns a fresh copy
+of that copy with every node located at the replaying invocation and
+each distinct stored mark replaced by one fresh mark from the
+expander's counter.  Both are one walk (:func:`_copy_tree`).  Nothing
+is serialized: an entry never leaves the process, so it needs no
+header, no integrity check and no failure path.  The batch driver's
+snapshot files, which are input from outside the process, keep all of
+theirs (:mod:`repro.driver.diskcache`).
 
 Entries are admitted on the *second* sighting of their key.  Most
-fresh-context runs expand each distinct invocation once, and pickling
+fresh-context runs expand each distinct invocation once, and copying
 a result nobody replays is pure cost, so the first fresh expansion
-under a key only records the key; the second pickles the snapshot;
-the third and later invocations replay it.  :meth:`ExpansionCache.clear`
+under a key only records the key; the second stores the copy; the
+third and later invocations replay it.  :meth:`ExpansionCache.clear`
 forgets sightings along with entries.
 
 Each entry also records its :class:`ReplayCost` — the nested
 expansions, budgeted output nodes and nesting height of the fresh
-expansion — which the expander charges on every hit, so expansion
-budgets and the depth limit trip exactly as they would with the cache
-off.
+expansion — which the expander charges before it replays a hit, so
+expansion budgets and the depth limit trip exactly as they would with
+the cache off.
 
 Whether a macro is safe to cache at all is decided once, at
 definition time, by :func:`repro.analysis.analyze_macro_purity` —
@@ -52,140 +50,68 @@ accumulator) working bit-for-bit with the cache enabled.
 
 from __future__ import annotations
 
-import dataclasses
-import io
-import pickle
 from typing import TYPE_CHECKING, Any, Callable, Hashable, NamedTuple
 
-from repro.cast.base import Node
+from repro.cast.base import Node, _init_field_names
 from repro.cast.struct_hash import Unhashable, structural_key
 from repro.errors import SourceLocation
 
 if TYPE_CHECKING:
     from repro.cast import nodes
     from repro.macros.definition import MacroDefinition
-    from repro.stats import PipelineStats
 
-__all__ = [
-    "ExpansionCache",
-    "ReplayCost",
-    "replay_result",
-    "CACHE_FORMAT_VERSION",
-    "SNAPSHOT_HEADER",
-    "frame_snapshot",
-    "unframe_snapshot",
-]
+__all__ = ["ExpansionCache", "ReplayCost"]
 
-#: The persistent ID standing for "the invocation site" in stored blobs.
-_LOC_PID = "loc"
-
-#: Snapshot wire-format version.  Bumped whenever the externalization
-#: scheme (persistent IDs, snapshot layout) changes; entries carrying
-#: any other version are treated as stale and re-expanded.
-CACHE_FORMAT_VERSION = 1
-
-#: Magic prefix identifying a well-formed snapshot blob.
-_MAGIC = b"MS2C"
-_HEADER = _MAGIC + bytes([CACHE_FORMAT_VERSION])
-
-#: The version-stamped snapshot header (``MS2C`` + format byte) —
-#: shared by the in-memory replay cache and the batch driver's
-#: on-disk snapshot files (:mod:`repro.driver.diskcache`).
-SNAPSHOT_HEADER = _HEADER
+#: Per-class copy plan: every field name except ``loc`` and ``mark``.
+_COPY_PLANS: dict[type, tuple[str, ...]] = {}
 
 
-def frame_snapshot(payload: bytes) -> bytes:
-    """Prefix ``payload`` with the version-stamped snapshot header."""
-    return SNAPSHOT_HEADER + payload
+def _copy_tree(
+    tree: Node | list[Node],
+    loc: SourceLocation | None = None,
+    fresh_mark: Callable[[], int] | None = None,
+) -> Node | list[Node]:
+    """A copy of ``tree`` that shares no node or list with it.
 
+    With ``loc`` every node is located there, else each keeps its
+    own; with ``fresh_mark`` each distinct mark is replaced by one
+    mark drawn from it, else marks are kept.  Other field values
+    (strings, AST types) are shared, as :func:`repro.cast.base.clone`
+    shares them.
+    """
+    plans = _COPY_PLANS
+    marks: dict[int, int] = {}
 
-def unframe_snapshot(blob: bytes) -> bytes | None:
-    """Strip and validate the snapshot header; ``None`` when the blob
-    is truncated, garbled, or stamped with another format version —
-    the caller treats all three as a miss and re-expands."""
-    if blob[: len(SNAPSHOT_HEADER)] != SNAPSHOT_HEADER:
-        return None
-    return blob[len(SNAPSHOT_HEADER):]
-
-
-class _MarkToken:
-    """Stands for one distinct hygiene mark inside a stored snapshot."""
-
-    __slots__ = ("pid",)
-
-    def __init__(self, index: int) -> None:
-        self.pid = ("m", index)
-
-
-class _StorePickler(pickle.Pickler):
-    """Externalizes locations and mark tokens while storing a result."""
-
-    def persistent_id(self, obj: Any) -> Any:
-        if isinstance(obj, SourceLocation):
-            return _LOC_PID
-        if isinstance(obj, _MarkToken):
-            return obj.pid
-        return None
-
-
-class _ReplayUnpickler(pickle.Unpickler):
-    """Rebuilds a stored expansion at a new invocation site."""
-
-    def __init__(
-        self,
-        blob: bytes,
-        loc: SourceLocation,
-        fresh_mark: Callable[[], int],
-    ) -> None:
-        super().__init__(io.BytesIO(blob))
-        self._loc = loc
-        self._fresh_mark = fresh_mark
-        self._marks: dict[Any, int] = {}
-
-    def persistent_load(self, pid: Any) -> Any:
-        if pid == _LOC_PID:
-            return self._loc
-        fresh = self._marks.get(pid)
-        if fresh is None:
-            fresh = self._marks[pid] = self._fresh_mark()
-        return fresh
-
-
-#: Per-class snapshot plan: every field name except ``loc``/``mark``.
-_SNAP_PLANS: dict[type, tuple[str, ...]] = {}
-
-
-def _snapshot(value: Any, tokens: dict[int, _MarkToken]) -> Any:
-    """Copy an expansion result, wrapping each distinct mark in a
-    :class:`_MarkToken` so the pickler can externalize it.  Runs once
-    per stored entry (never on the replay path)."""
-    if isinstance(value, Node):
+    def copy(value: Any) -> Any:
+        if isinstance(value, list):
+            return [copy(item) for item in value]
+        if not isinstance(value, Node):
+            return value
         cls = value.__class__
-        plan = _SNAP_PLANS.get(cls)
-        if plan is None:
-            plan = _SNAP_PLANS[cls] = tuple(
-                f.name
-                for f in dataclasses.fields(cls)
-                if f.name not in ("loc", "mark")
+        names = plans.get(cls)
+        if names is None:
+            names = plans[cls] = tuple(
+                name
+                for name in _init_field_names(value)
+                if name not in ("loc", "mark")
             )
         new = cls.__new__(cls)
-        for name in plan:
+        for name in names:
             field_value = getattr(value, name)
             if isinstance(field_value, (Node, list)):
-                field_value = _snapshot(field_value, tokens)
+                field_value = copy(field_value)
             setattr(new, name, field_value)
-        new.loc = value.loc
+        new.loc = value.loc if loc is None else loc
         mark = value.mark
-        if mark is not None:
-            token = tokens.get(mark)
-            if token is None:
-                token = tokens[mark] = _MarkToken(len(tokens))
-            mark = token
+        if mark is not None and fresh_mark is not None:
+            fresh = marks.get(mark)
+            if fresh is None:
+                fresh = marks[mark] = fresh_mark()
+            mark = fresh
         new.mark = mark
         return new
-    if isinstance(value, list):
-        return [_snapshot(item, tokens) for item in value]
-    return value
+
+    return copy(tree)
 
 
 class ReplayCost(NamedTuple):
@@ -204,12 +130,13 @@ class ReplayCost(NamedTuple):
 class ExpansionCache:
     """A per-session memo table of completed expansions."""
 
-    def __init__(self, stats: "PipelineStats | None" = None) -> None:
-        self._entries: dict[Hashable, bytes] = {}
-        self._costs: dict[Hashable, ReplayCost] = {}
+    def __init__(self) -> None:
+        #: key -> (private copy of the result, its fresh expansion's cost)
+        self._entries: dict[
+            Hashable, tuple[Node | list[Node], ReplayCost]
+        ] = {}
         #: Keys :meth:`store` has seen; a key is admitted on its second.
         self._sighted: set[Hashable] = set()
-        self.stats = stats
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -227,11 +154,11 @@ class ExpansionCache:
             return None
         return (definition.name, definition.generation, arg_key)
 
-    def lookup(self, key: Hashable) -> bytes | None:
+    def lookup(
+        self, key: Hashable
+    ) -> tuple[Node | list[Node], ReplayCost] | None:
+        """The stored tree and its :class:`ReplayCost`, if any."""
         return self._entries.get(key)
-
-    def cost(self, key: Hashable) -> ReplayCost:
-        return self._costs.get(key, ReplayCost())
 
     def store(
         self,
@@ -239,77 +166,26 @@ class ExpansionCache:
         result: Node | list[Node],
         cost: ReplayCost = ReplayCost(),
     ) -> None:
-        """Admit ``result`` under ``key`` on its second sighting; the
-        first only records the key."""
+        """Admit a private copy of ``result`` under ``key`` on its
+        second sighting; the first only records the key."""
         if key not in self._sighted:
             self._sighted.add(key)
             return
-        buffer = io.BytesIO()
-        buffer.write(SNAPSHOT_HEADER)
-        try:
-            _StorePickler(
-                buffer, protocol=pickle.HIGHEST_PROTOCOL
-            ).dump(_snapshot(result, {}))
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # Result embeds something unpicklable (a closure, a live
-            # definition reference): leave the invocation uncached.
-            return
-        self._entries[key] = buffer.getvalue()
-        self._costs[key] = cost
+        self._entries[key] = (_copy_tree(result), cost)
 
     def replay(
         self,
-        key: Hashable,
-        cached: bytes,
+        stored: Node | list[Node],
         loc: SourceLocation,
         fresh_mark: Callable[[], int],
-    ) -> Node | list[Node] | None:
-        """Replay a stored snapshot, or ``None`` when it cannot be
-        trusted (wrong version header, truncated or corrupt blob).
-
-        A failed replay evicts the entry and counts as a
-        ``cache_replay_failure`` in :class:`PipelineStats`; the caller
-        falls back to re-running the meta-program, so corruption of
-        memo state can never surface as a raw unpickling exception.
-        """
-        payload = unframe_snapshot(cached)
-        if payload is not None:
-            try:
-                result = replay_result(payload, loc, fresh_mark)
-                # Shape check: a corrupt blob can unpickle "cleanly"
-                # into something that is not an expansion result at
-                # all, which would blow up far away in the printer.
-                if isinstance(result, Node) or (
-                    isinstance(result, list)
-                    and all(isinstance(item, Node) for item in result)
-                ):
-                    return result
-            except Exception:
-                # pickle raises a menagerie on corrupt input
-                # (UnpicklingError, EOFError, ValueError, TypeError,
-                # AttributeError, ...); all of them mean the same
-                # thing here: the snapshot is unusable.
-                pass
-        self._entries.pop(key, None)
-        self._costs.pop(key, None)
-        if self.stats is not None:
-            self.stats.cache_replay_failures += 1
-        return None
+    ) -> Node | list[Node]:
+        """A fresh copy of a stored tree, every node located at
+        ``loc`` and each distinct stored mark consistently replaced by
+        a fresh one drawn from ``fresh_mark``."""
+        return _copy_tree(stored, loc, fresh_mark)
 
     def clear(self) -> None:
         """Drop every entry and sighting (meta-function redefinition,
         tests)."""
         self._entries.clear()
-        self._costs.clear()
         self._sighted.clear()
-
-
-def replay_result(
-    cached: bytes,
-    loc: SourceLocation,
-    fresh_mark: Callable[[], int],
-) -> Node | list[Node]:
-    """A fresh instance of a cached expansion, located at ``loc``,
-    with every distinct stored mark consistently replaced by a fresh
-    one drawn from ``fresh_mark``."""
-    return _ReplayUnpickler(cached, loc, fresh_mark).load()

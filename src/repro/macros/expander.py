@@ -144,25 +144,21 @@ class Expander:
                 if self.stats is not None:
                     self.stats.cache_uncacheable += 1
             else:
-                cached = self.cache.lookup(key)
-                if cached is not None:
-                    # Stamped with the *replay* site's backtrace; a
-                    # corrupt or stale snapshot replays as None and
-                    # falls through to re-expansion.
+                entry = self.cache.lookup(key)
+                if entry is not None and self._charge_replay(entry[1]):
+                    stored, cost = entry
+                    # Stamped with the *replay* site's backtrace.
                     replayed = self.cache.replay(
-                        key,
-                        cached,
+                        stored,
                         replay_location(invocation.loc, chain),
                         self._fresh_mark,
                     )
-                    cost = self.cache.cost(key)
-                    if replayed is not None and self._charge_replay(cost):
-                        self.result_size = cost.size
-                        self.expansion_count += 1
-                        if self.stats is not None:
-                            self.stats.cache_hits += 1
-                            self.stats.expansions += 1
-                        return replayed, "hit"
+                    self.result_size = cost.size
+                    self.expansion_count += 1
+                    if self.stats is not None:
+                        self.stats.cache_hits += 1
+                        self.stats.expansions += 1
+                    return replayed, "hit"
                 cache_status = "miss"
                 if self.stats is not None:
                     self.stats.cache_misses += 1

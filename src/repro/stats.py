@@ -58,9 +58,6 @@ class PipelineStats:
     parse_recoveries: int = 0
     #: Failing invocations degraded to poisoned nodes (recover mode).
     expansion_recoveries: int = 0
-    #: Cache entries whose snapshot failed to replay (corrupt or
-    #: stale blob); each fell back to re-running the meta-program.
-    cache_replay_failures: int = 0
 
     # -- hygiene / meta builtins ---------------------------------------
     #: Template-declared locals renamed by the hygienic renamer.
@@ -125,7 +122,6 @@ class PipelineStats:
             "expansions": self.expansions,
             "parse_recoveries": self.parse_recoveries,
             "expansion_recoveries": self.expansion_recoveries,
-            "cache_replay_failures": self.cache_replay_failures,
             "hygiene_renames": self.hygiene_renames,
             "gensym_calls": self.gensym_calls,
             "tokens_scanned": self.tokens_scanned,

@@ -278,6 +278,29 @@ def test_identical_content_at_two_paths_is_not_conflated(
     assert warm.results[0].output == cold.results[0].output
 
 
+def test_file_key_and_snapshot_header_are_pinned() -> None:
+    """Build keys and the snapshot header outlive a process: they name
+    snapshot files on disk and in shared caches.  For unchanged inputs
+    they may move only with ``__version__`` or the snapshot format
+    version, else every stored snapshot is orphaned."""
+    from repro import __version__
+    from repro.driver.diskcache import CACHE_FORMAT_VERSION, SNAPSHOT_HEADER
+
+    assert (__version__, CACHE_FORMAT_VERSION) == ("1.0.0", 1)
+    assert SNAPSHOT_HEADER == b"MS2C\x01"
+    sess = BuildSession(
+        Ms2Options(),
+        package_names=("loops",),
+        package_sources=(
+            ("pkg.c", "syntax stmt nop {| ( ) |} { return(`{;}); }"),
+        ),
+        cache=None,
+    )
+    assert sess.file_key("src/unit.c", "int x = 1;\n") == (
+        "19e9e3b776da7d4a351bea094a20479cba1b34c8dac18bc761e76071693ea132"
+    )
+
+
 def test_snapshot_with_mismatched_path_is_discarded(
     cache_dir: Path,
 ) -> None:

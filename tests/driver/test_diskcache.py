@@ -14,8 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.driver.diskcache import PersistentCache
-from repro.macros.cache import SNAPSHOT_HEADER, frame_snapshot
+from repro.driver.diskcache import (
+    SNAPSHOT_HEADER,
+    PersistentCache,
+    frame_snapshot,
+    unframe_snapshot,
+)
 
 KEY = "ab" + "0" * 62
 
@@ -87,8 +91,6 @@ def test_snapshots_never_contain_pickle(tmp_path: Path) -> None:
     """Loading a snapshot must not be able to execute code: the body
     after header + digest is plain JSON, nothing else."""
     cache, path = stored(tmp_path, diagnostics=[{"severity": "note"}])
-    from repro.macros.cache import unframe_snapshot
-
     body = unframe_snapshot(path.read_bytes())[8:]
     payload = json.loads(body.decode("utf-8"))  # raises if not JSON
     assert payload["output"] == "int x;\n"

@@ -11,17 +11,12 @@ in both fail-fast and recovery modes.  Knobs (environment variables):
 """
 
 import os
-import pickle
-import random
 import traceback
 from pathlib import Path
 
 import pytest
 
-from repro import MacroProcessor
-from repro.macros.cache import _HEADER
-
-from .fuzzer import Mutator, load_corpus, make_processor, run_mutant
+from .fuzzer import Mutator, load_corpus, run_mutant
 
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", str(0xC0FFEE)), 0)
 FUZZ_MUTANTS = int(os.environ.get("FUZZ_MUTANTS", "200"))
@@ -86,56 +81,3 @@ def test_mutations_are_reproducible():
     b = Mutator(1234).mutate(program)
     assert a == b
 
-
-class TestCacheCorruptionFuzz:
-    """Random byte-flips in cache snapshots must degrade to
-    re-expansion (counted in stats), never to a crash or wrong
-    output escaping as a raw unpickling error."""
-
-    SRC = (
-        "syntax stmt Twice {| $$stmt::body |} "
-        "{ return(`{$body; $body;}); }\n"
-    )
-
-    def _primed(self):
-        mp = MacroProcessor()
-        mp.load(self.SRC)
-        # The second sighting stores; the caller's run is the third.
-        mp.expand_to_c("void f(void) { Twice {a();} }")
-        expected = mp.expand_to_c("void f(void) { Twice {a();} }")
-        assert mp.cache._entries
-        return mp, expected
-
-    def test_random_byte_flips(self):
-        rng = random.Random(FUZZ_SEED)
-        for trial in range(40):
-            mp, expected = self._primed()
-            key, blob = next(iter(mp.cache._entries.items()))
-            blob = bytearray(blob)
-            # Flip 1-4 random bytes anywhere, header included.
-            for _ in range(rng.randint(1, 4)):
-                pos = rng.randrange(len(blob))
-                blob[pos] ^= 1 << rng.randrange(8)
-            mp.cache._entries[key] = bytes(blob)
-            out = mp.expand_to_c("void f(void) { Twice {a();} }")
-            assert out == expected, f"trial {trial}: wrong output"
-
-    def test_random_truncation(self):
-        rng = random.Random(FUZZ_SEED ^ 1)
-        for trial in range(20):
-            mp, expected = self._primed()
-            key, blob = next(iter(mp.cache._entries.items()))
-            cut = rng.randrange(len(blob))
-            mp.cache._entries[key] = blob[:cut]
-            out = mp.expand_to_c("void f(void) { Twice {a();} }")
-            assert out == expected, f"trial {trial}: wrong output"
-
-    def test_garbage_pickle_payload(self):
-        # A well-formed header with a pickle of the wrong shape must
-        # also fall back (replay_result blows up past unpickling).
-        mp, expected = self._primed()
-        key = next(iter(mp.cache._entries))
-        mp.cache._entries[key] = _HEADER + pickle.dumps({"not": "a node"})
-        out = mp.expand_to_c("void f(void) { Twice {a();} }")
-        assert out == expected
-        assert mp.stats.cache_replay_failures >= 1

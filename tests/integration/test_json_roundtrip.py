@@ -176,6 +176,19 @@ def test_stats_round_trip_is_json_stable(stats: PipelineStats) -> None:
     assert again == once
 
 
+def test_stats_from_an_older_daemon_still_load() -> None:
+    """A payload carrying a retired counter (``cache_replay_failures``
+    went with the in-memory cache's serialization) loads without it
+    and round-trips."""
+    old = PipelineStats(cache_hits=3, expansions=5).to_json()
+    old["cache_replay_failures"] = 2
+    stats = PipelineStats.from_json(_wire(old))
+    assert (stats.cache_hits, stats.expansions) == (3, 5)
+    once = _wire(stats.to_json())
+    assert "cache_replay_failures" not in once
+    assert PipelineStats.from_json(once).to_json() == once
+
+
 def test_span_round_trip_is_json_stable() -> None:
     span = ExpansionSpan(
         span_id=3,

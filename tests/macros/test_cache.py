@@ -13,6 +13,7 @@ import pytest
 
 from repro import MacroProcessor, Ms2Options
 from repro.cast import nodes
+from repro.cast.base import walk
 from repro.cast.struct_hash import Unhashable, structural_key
 from repro.errors import SourceLocation
 from repro.packages import dispatch, loops
@@ -68,6 +69,53 @@ class TestReplaySemantics:
         s2 = second.items[0].body.stmts[0]
         assert s1 == s2 and s1 is not s2
         assert s1.stmts[0] is not s2.stmts[0]
+
+    def test_replay_shares_no_node(self):
+        """No node of a replay is a node of the stored entry, of the
+        storing call's own result or of an earlier replay."""
+        mp = MacroProcessor()
+        mp.load(self.SOURCE)
+        mp.expand_to_ast("void e(void) { wrap(1); }")
+        original = mp.expand_to_ast("void f(void) { wrap(1); }")
+        first = mp.expand_to_ast("void g(void) { wrap(1); }")
+        second = mp.expand_to_ast("void h(void) { wrap(1); }")
+        assert mp.stats.cache_hits == 2
+        [(stored, _cost)] = mp.cache._entries.values()
+
+        def ids(tree):
+            return {id(node) for node in walk(tree)}
+
+        trees = [
+            stored,
+            original.items[0].body.stmts[0],
+            first.items[0].body.stmts[0],
+            second.items[0].body.stmts[0],
+        ]
+        for index, tree in enumerate(trees):
+            for other in trees[index + 1:]:
+                assert ids(tree).isdisjoint(ids(other))
+
+    def test_mutating_the_stored_result_leaves_replays_unchanged(self):
+        mp = MacroProcessor()
+        mp.load(self.SOURCE)
+        mp.expand_to_ast("void e(void) { wrap(1); }")
+        # The second sighting stores; then its caller edits its result.
+        unit = mp.expand_to_ast("void f(void) { wrap(1); }")
+        assert len(mp.cache) == 1
+        result = unit.items[0].body.stmts[0]
+        for node in walk(result):
+            if isinstance(node, nodes.Identifier):
+                node.name = "hijacked"
+            elif isinstance(node, nodes.IntLit):
+                node.value = 99
+        result.stmts.append(result.stmts[0])
+        program = "void g(void) { wrap(1); }"
+        replayed = mp.expand_to_c(program)
+        assert mp.stats.cache_hits == 1
+        uncached = MacroProcessor(options=Ms2Options(cache=False))
+        uncached.load(self.SOURCE)
+        assert replayed == uncached.expand_to_c(program)
+        assert "hijacked" not in replayed
 
     def test_replay_relocates_to_invocation_site(self):
         mp = MacroProcessor()
@@ -323,64 +371,4 @@ class TestStatsWiring:
         text = mp.stats.summary()
         for key in d:
             assert key in text
-
-
-class TestReplayHardening:
-    """Corrupt or stale snapshots fall back to re-expansion: memo
-    corruption must never surface as a raw unpickling exception."""
-
-    SRC = "syntax stmt pure {| ( ) |} { return(`{work();}); }"
-    PROG = "void f(void) { pure(); }"
-
-    def _primed(self):
-        mp = MacroProcessor()
-        mp.load(self.SRC)
-        # The second sighting stores; the caller's run is the third.
-        mp.expand_to_c(self.PROG)
-        mp.expand_to_c(self.PROG)
-        assert len(mp.cache) == 1
-        return mp
-
-    def test_corrupt_blob_falls_back_to_reexpansion(self):
-        mp = self._primed()
-        key = next(iter(mp.cache._entries))
-        blob = mp.cache._entries[key]
-        # Keep the version header, garble the pickle payload.
-        mp.cache._entries[key] = blob[:5] + b"\x80garbage\xff" + blob[9:]
-        out = mp.expand_to_c(self.PROG)
-        assert "work()" in out
-        assert mp.stats.cache_replay_failures == 1
-        # The poisoned entry was evicted and re-stored on the fallback
-        # expansion; the next run replays cleanly.
-        mp.expand_to_c(self.PROG)
-        assert mp.stats.cache_replay_failures == 1
-
-    def test_truncated_blob_falls_back(self):
-        mp = self._primed()
-        key = next(iter(mp.cache._entries))
-        mp.cache._entries[key] = mp.cache._entries[key][:8]
-        out = mp.expand_to_c(self.PROG)
-        assert "work()" in out
-        assert mp.stats.cache_replay_failures == 1
-
-    def test_stale_version_header_is_rejected(self):
-        from repro.macros import cache as cache_mod
-
-        mp = self._primed()
-        key = next(iter(mp.cache._entries))
-        blob = mp.cache._entries[key]
-        stale = cache_mod._MAGIC + bytes([99]) + blob[5:]
-        mp.cache._entries[key] = stale
-        out = mp.expand_to_c(self.PROG)
-        assert "work()" in out
-        assert mp.stats.cache_replay_failures == 1
-
-    def test_store_prefixes_version_header(self):
-        from repro.macros import cache as cache_mod
-
-        mp = self._primed()
-        blob = next(iter(mp.cache._entries.values()))
-        assert blob.startswith(
-            cache_mod._MAGIC + bytes([cache_mod.CACHE_FORMAT_VERSION])
-        )
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 
 import pytest
 
@@ -74,12 +75,10 @@ def test_busy_frames_echo_the_id(server_factory):
     """Backpressure rejections carry the ID like any other response."""
     handle = server_factory(max_inflight=1, queue_limit=0)
     slow = doubler_program(11)
-    started = threading.Event()
     outcome: dict = {}
 
     def occupy() -> None:
         with handle.client() as client:
-            started.set()
             outcome["slow"] = client.request(
                 {"op": "expand", "source": slow,
                  "request_id": "cccccccccccccccc"}
@@ -87,9 +86,18 @@ def test_busy_frames_echo_the_id(server_factory):
 
     worker = threading.Thread(target=occupy)
     worker.start()
-    started.wait(10)
     busy = None
     with handle.client() as client:
+        # Probe only once the slow request holds the one in-flight
+        # slot (``stats`` is never admitted, so it cannot take it);
+        # it may also have finished already.
+        deadline = time.monotonic() + 10
+        while (
+            client.stats()["in_flight"] != 1
+            and worker.is_alive()
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
         for _ in range(200):
             response = client.request(
                 {"op": "expand", "source": "int x;\n",
